@@ -14,7 +14,11 @@
 //
 // Fault mixes replay deterministic inject::plan_fault specs on the first N
 // sessions: the serving cost of bounded recovery (concealment, quarantine)
-// under load, not just its correctness.
+// under load, not just its correctness. A spec is kept only when a solo
+// quarantine decode of its output conceals something, and the bench exits
+// nonzero when a fault row recovered nothing — so the row provably
+// measures recovery.
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -22,6 +26,7 @@
 
 #include "bench/common.h"
 #include "inject/fault.h"
+#include "parallel/gop_decoder.h"
 #include "serve/server.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -37,22 +42,52 @@ struct MixResult {
   obs::HistogramSnapshot latency;
   parallel::WorkerLoadSummary load;
   int concealed_slices = 0;
+  int concealed_pictures = 0;
   int quarantined_gops = 0;
   int exploded_gops = 0;
   int gop_mode_gops = 0;
 };
 
+constexpr std::int64_t kWatchdogNs = 30'000'000'000;
+
+/// Faulted copies of the streams for the corrupt sessions: plan_fault
+/// specs are tried in order and a copy is kept only when a solo quarantine
+/// decode of it conceals something. Empty when `count` copies could not
+/// be found within a bounded number of specs.
+std::vector<std::vector<std::uint8_t>> plan_corrupt_streams(
+    const std::vector<std::vector<std::uint8_t>>& streams, int count,
+    int workers, std::uint64_t fault_seed) {
+  constexpr std::uint64_t kMaxSpecsPerStream = 64;
+  parallel::GopDecoderConfig solo;
+  solo.workers = workers;
+  solo.quarantine_gops = true;
+  solo.watchdog_ns = kWatchdogNs;
+  std::vector<std::vector<std::uint8_t>> out;
+  std::uint64_t next = 0;
+  for (int i = 0; i < count; ++i) {
+    const auto& base = streams[static_cast<std::size_t>(i) % streams.size()];
+    for (std::uint64_t tries = 0; tries < kMaxSpecsPerStream; ++tries) {
+      auto faulted =
+          inject::apply_fault(base, inject::plan_fault(fault_seed, next++));
+      const auto r = parallel::GopParallelDecoder(solo).decode(faulted);
+      if (r.ok && (r.concealed_slices > 0 || r.concealed_pictures > 0)) {
+        out.push_back(std::move(faulted));
+        break;
+      }
+    }
+    if (out.size() != static_cast<std::size_t>(i) + 1) return {};
+  }
+  return out;
+}
+
+/// Runs one mix; the first `corrupt` sessions decode `corrupted` copies.
 MixResult run_mix(const std::vector<std::vector<std::uint8_t>>& streams,
-                  int sessions, int corrupt, int workers,
-                  std::uint64_t fault_seed) {
+                  const std::vector<std::vector<std::uint8_t>>& corrupted,
+                  int sessions, int corrupt, int workers) {
   serve::ServerConfig config;
   config.workers = workers;
-  config.watchdog_ns = 30'000'000'000;
+  config.watchdog_ns = kWatchdogNs;
   config.admission.max_queued = sessions;  // wait, never bounce
-
-  // Corrupted copies must outlive their sessions.
-  std::vector<std::vector<std::uint8_t>> corrupted;
-  corrupted.reserve(static_cast<std::size_t>(corrupt));
 
   MixResult out;
   WallTimer wall;
@@ -60,15 +95,10 @@ MixResult run_mix(const std::vector<std::vector<std::uint8_t>>& streams,
   std::vector<serve::SessionId> ids;
   ids.reserve(static_cast<std::size_t>(sessions));
   for (int i = 0; i < sessions; ++i) {
-    const auto& base = streams[static_cast<std::size_t>(i) % streams.size()];
-    if (i < corrupt) {
-      corrupted.push_back(inject::apply_fault(
-          base, inject::plan_fault(fault_seed,
-                                   static_cast<std::uint64_t>(i))));
-      ids.push_back(server.submit(corrupted.back(), {}));
-    } else {
-      ids.push_back(server.submit(base, {}));
-    }
+    ids.push_back(server.submit(
+        i < corrupt ? corrupted[static_cast<std::size_t>(i)]
+                    : streams[static_cast<std::size_t>(i) % streams.size()],
+        {}));
   }
   for (int i = 0; i < sessions; ++i) {
     const serve::SessionResult r =
@@ -77,6 +107,7 @@ MixResult run_mix(const std::vector<std::vector<std::uint8_t>>& streams,
     out.pictures += r.pictures_delivered;
     out.latency.add(r.latency);
     out.concealed_slices += r.concealed_slices;
+    out.concealed_pictures += r.concealed_pictures;
     out.quarantined_gops += r.quarantined_gops;
     out.exploded_gops += r.exploded_gops;
     out.gop_mode_gops += r.gop_mode_gops;
@@ -132,14 +163,29 @@ int main(int argc, char** argv) {
       {1, 0}, {workers, 0}, {2 * workers, 0}, {4 * workers, 0},
       {2 * workers, 2},
   };
+  int max_corrupt = 0;
+  for (const auto& mix : mixes) {
+    max_corrupt = std::max(max_corrupt, mix.corrupt);
+  }
+  const auto corrupted =
+      plan_corrupt_streams(streams, max_corrupt, workers, fault_seed);
+  if (corrupted.size() != static_cast<std::size_t>(max_corrupt)) {
+    std::cerr << "bench_serve: no fault spec made a solo quarantine decode "
+                 "conceal anything\n";
+    return 1;
+  }
 
   Table table({"sessions", "corrupt", "pics/s", "p50 ms", "p95 ms",
-               "p99 ms", "util", "exploded", "concealed"});
+               "p99 ms", "util", "exploded", "concealed", "conc. pics"});
   bool all_ok = true;
+  bool all_recovered = true;
   for (const auto& mix : mixes) {
     const MixResult r =
-        run_mix(streams, mix.sessions, mix.corrupt, workers, fault_seed);
+        run_mix(streams, corrupted, mix.sessions, mix.corrupt, workers);
     all_ok = all_ok && r.ok;
+    if (mix.corrupt > 0 && r.concealed_slices + r.concealed_pictures == 0) {
+      all_recovered = false;
+    }
     const double pps = r.wall_s > 0 ? r.pictures / r.wall_s : 0.0;
     table.add_row({std::to_string(mix.sessions),
                    std::to_string(mix.corrupt), Table::fmt(pps, 1),
@@ -148,7 +194,8 @@ int main(int argc, char** argv) {
                    Table::fmt(r.latency.percentile(0.99) / 1e6),
                    Table::fmt(r.load.utilization),
                    std::to_string(r.exploded_gops),
-                   std::to_string(r.concealed_slices)});
+                   std::to_string(r.concealed_slices),
+                   std::to_string(r.concealed_pictures)});
     report.add_row()
         .set("sessions", static_cast<std::int64_t>(mix.sessions))
         .set("corrupt_sessions", static_cast<std::int64_t>(mix.corrupt))
@@ -163,6 +210,8 @@ int main(int argc, char** argv) {
         .set("gop_mode_gops", static_cast<std::int64_t>(r.gop_mode_gops))
         .set("concealed_slices",
              static_cast<std::int64_t>(r.concealed_slices))
+        .set("concealed_pictures",
+             static_cast<std::int64_t>(r.concealed_pictures))
         .set("quarantined_gops",
              static_cast<std::int64_t>(r.quarantined_gops));
   }
@@ -170,8 +219,11 @@ int main(int argc, char** argv) {
   if (!all_ok) {
     std::cerr << "bench_serve: a session hung or a clean session failed\n";
   }
+  if (!all_recovered) {
+    std::cerr << "bench_serve: a fault row concealed nothing\n";
+  }
 
   const int rc = bench::finish(flags, report);
   if (rc != 0) return rc;
-  return all_ok ? 0 : 1;
+  return all_ok && all_recovered ? 0 : 1;
 }

@@ -374,13 +374,12 @@ int main(int argc, char** argv) {
     record("adaptive", r)
         .set("gop_mode_gops", r.gop_mode_gops)
         .set("exploded_gops", r.exploded_gops)
-        .set("stolen_tasks", static_cast<std::int64_t>(r.stolen_tasks))
         .set("pool_hits", static_cast<std::int64_t>(r.pool_hits))
         .set("pool_misses", static_cast<std::int64_t>(r.pool_misses));
     const std::uint64_t pool_total = r.pool_hits + r.pool_misses;
     std::cout << "adaptive dispatch: " << r.gop_mode_gops
-              << " whole GOP(s), " << r.exploded_gops << " exploded, "
-              << r.stolen_tasks << " stolen task(s), pool hit rate "
+              << " whole GOP(s), " << r.exploded_gops
+              << " exploded, pool hit rate "
               << (pool_total > 0
                       ? Table::fmt(100.0 * static_cast<double>(r.pool_hits) /
                                        static_cast<double>(pool_total),

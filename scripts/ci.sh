@@ -82,22 +82,25 @@ stage_tsan() {
   # test_fault rides along: quarantine/watchdog recovery exercises the
   # coordinator's error paths under real thread interleavings. test_live
   # holds the seqlock data-race-free claim (TelemetryCell writer storm +
-  # sampler thread). test_adaptive covers the hybrid scheduler's
-  # work-stealing paths (deque pops, steals, exploded-picture handoffs)
-  # under real contention — the threaded AdaptiveDecoder/AdaptiveStress
-  # suites only; the 16-stream checksum matrix is stream-content
-  # coverage that tier-1 already runs and would dominate this stage's
-  # wall time under TSan. test_serve's Server/ServerLifecycle suites put
-  # the DecodeServer's session lifecycle (concurrent open, decode,
-  # cancel, teardown over one shared pool) under the same lens; the
-  # single-threaded Admission/Fairness math stays in tier-1.
+  # sampler thread). The GOP and adaptive decoders are one-session
+  # façades over the DecodeServer engine, so the Parallel*, GopQuarantine
+  # and AdaptiveDecoder/AdaptiveStress suites put the engine's claim loop
+  # (FIFO pops, whole-vs-exploded dispatch, exploded-picture reference
+  # handoffs) under real contention, and
+  # AdaptiveDecoder.FourWorkersBindProfilerSlotsConcurrently proves
+  # StageProfiler::bind race-free. The 16-stream checksum matrix is
+  # stream-content coverage that tier-1 already runs and would dominate
+  # this stage's wall time under TSan. test_serve's Server/ServerLifecycle
+  # suites put the DecodeServer's session lifecycle (concurrent open,
+  # decode, cancel, teardown over one shared pool) under the same lens;
+  # the single-threaded Admission/Fairness math stays in tier-1.
   run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPMP2_SANITIZE=thread || return 1
   run cmake --build build-tsan -j "$JOBS" \
       --target test_parallel test_parallel_stress test_obs test_fault \
       test_live test_adaptive test_serve || return 1
   run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'Parallel|Stress|Tracer|Obs|FaultInjection|GopQuarantine|TelemetryCell|SlidingWindow|LiveSampler|Exporters|AdaptiveDecoder|AdaptiveStress|StealOrder|Server'
+      -R 'Parallel|Stress|Tracer|Obs|FaultInjection|GopQuarantine|TelemetryCell|SlidingWindow|LiveSampler|Exporters|AdaptiveDecoder|AdaptiveStress|Server'
 }
 
 stage_ubsan() {

@@ -2,9 +2,8 @@
 // CMakeLists.txt) and is only ever entered through the dispatch table
 // after a CPUID probe, so no function-level target attributes are
 // needed. The IDCT keeps the scalar kernel's int64 accumulator width in
-// 64-bit ymm lanes (even/odd split, same layout convention as the SSE2
-// backend); _mm256_mul_epi32 is a true signed 32x32->64 multiply so no
-// sign-correction is required. MC, SAD, and SSE process two rows per
+// 64-bit ymm lanes (even/odd split); _mm256_mul_epi32 is a true signed
+// 32x32->64 multiply so no sign-correction is required. MC, SAD, and SSE process two rows per
 // iteration with 128-bit lane = row.
 #include "mpeg2/kernels/backends.h"
 #include "mpeg2/kernels/simd_mc.h"
@@ -45,8 +44,8 @@ inline void ystore2(std::uint8_t* p, int stride, __m256i v) {
 
 // --- IDCT traits -----------------------------------------------------------
 
-/// 64-bit arithmetic shift right (AVX2 has no vpsraq either): same
-/// xor/sub sign-propagation identity as the SSE2 backend.
+/// 64-bit arithmetic shift right (AVX2 has no vpsraq): logical shift,
+/// then sign-propagate with m = 1 << (63 - n): (x >>l n ^ m) - m.
 template <int N>
 inline __m256i sar64(__m256i x) {
   const __m256i m = _mm256_set1_epi64x(std::int64_t{1} << (63 - N));
@@ -60,8 +59,8 @@ struct Avx2V {
   static constexpr int kMinAcCols = 6;
   using Row = __m256i;  // int32 lanes 0-7
   /// Even/odd 64-bit lane split: e holds dword lanes {0,2,4,6}, o holds
-  /// {1,3,5,7}; same convention as the SSE2 traits so the shared kernel
-  /// body is layout-agnostic.
+  /// {1,3,5,7}; mul/widen/narrow keep the layout consistent so the shared
+  /// kernel body is layout-agnostic.
   struct Acc {
     __m256i e, o;
   };

@@ -45,13 +45,10 @@ const KernelTable* avx2_table();
 /// Crossover-free vector IDCT of a backend, for equivalence tests and
 /// benchmarks: unlike KernelTable::idct it never hands sparse blocks to
 /// the scalar kernel, so the vector butterfly is exercised at every
-/// occupancy (SSE2 production IDCT routes everything scalar — its
-/// emulated 64-bit lanes lose at all occupancies — yet the vector body
-/// must stay oracle-exact for hosts where the tuning differs). Null for
-/// the scalar backend and for backends not compiled in.
+/// occupancy. Only AVX2 has a vector IDCT; null for the scalar and SSE2
+/// backends and for backends not compiled in.
 using IdctFn = void (*)(Block&, BlockSparsity);
 IdctFn idct_vector_raw(Backend b);
-IdctFn sse2_idct_raw();
 IdctFn avx2_idct_raw();
 
 }  // namespace pmp2::mpeg2::kernels::detail

@@ -169,9 +169,8 @@ IdctFn idct_vector_raw(Backend b) {
   // would fault on first use.
   switch (b) {
     case Backend::kScalar:
+    case Backend::kSse2:  // its IDCT is the scalar kernel
       return nullptr;
-    case Backend::kSse2:
-      return cpu_supports("sse2") ? sse2_idct_raw() : nullptr;
     case Backend::kAvx2:
       return cpu_supports("avx2") ? avx2_idct_raw() : nullptr;
   }

@@ -1,5 +1,5 @@
 // Vectorized sparsity-aware IDCT, templated over a backend traits type so
-// SSE2 and AVX2 (and a future NEON traits type) share one kernel body.
+// AVX2 (and a future NEON traits type) share one kernel body.
 //
 // Bit-exactness with the scalar oracle is the design constraint, not an
 // aspiration: the scalar kernel accumulates in int64 (pass-2 accumulators
@@ -42,8 +42,7 @@ using namespace pmp2::mpeg2::kernels::idct;
 // costs it one or two column butterflies, while the vector kernel always
 // pays the full 8-wide butterfly plus two register transposes. Below
 // V::kMinAcCols AC columns the scalar group dispatch wins (tuned per
-// backend on the decoded-stream corpus in bench_micro_kernels — SSE2's
-// emulated 64-bit lanes push its crossover higher than AVX2's); at or
+// backend on the decoded-stream corpus in bench_micro_kernels); at or
 // above it the vector kernel does. Any value is bit-exact — both sides
 // are oracle equal — the threshold only picks the faster one.
 
@@ -237,8 +236,7 @@ void idct_simd(Block& block, BlockSparsity s) {
 /// Crossover-free variant: every non-collapsed block takes the vector
 /// path. Exposed through detail::idct_vector_raw() so equivalence tests
 /// and benchmarks can exercise the vector butterfly at occupancies the
-/// tuned entry would hand to the scalar kernel (with kMinAcCols == 9 the
-/// production entry never vectorizes at all — see the SSE2 traits).
+/// tuned entry would hand to the scalar kernel.
 template <typename V>
 void idct_simd_raw(Block& block, BlockSparsity s) {
   if (detail::idct_collapse(block, s)) return;

@@ -1,8 +1,9 @@
 // SSE2 backend: the x86-64 baseline vector ISA, no CPUID gate needed on
 // 64-bit hosts. Compiled without extra ISA flags so the whole TU stays
-// honest SSE2 (signed 32x32->64 multiplies are emulated with mul_epu32 +
-// sign correction; 64-bit arithmetic shifts with the logical-shift
-// xor/sub identity — both exact in two's complement).
+// honest SSE2. Its IDCT entry is the scalar kernel: a vector butterfly
+// needs signed 32x32->64 multiplies and 64-bit arithmetic shifts, which
+// SSE2 lacks, and the emulated version lost to the scalar column-skipping
+// kernel at every occupancy (0.58x even on fully dense blocks).
 #include "mpeg2/kernels/backends.h"
 #include "mpeg2/kernels/simd_mc.h"
 
@@ -13,174 +14,10 @@
 #include <cstdint>
 #include <cstring>
 
-#include "mpeg2/kernels/simd_idct.h"
-
 namespace pmp2::mpeg2::kernels {
 namespace {
 
 using simd::xload;
-using simd::xload8;
-using simd::xstore;
-using simd::xstore8;
-
-// --- IDCT traits -----------------------------------------------------------
-
-/// 64-bit arithmetic shift right (SSE2 has no psraq): logical shift, then
-/// sign-propagate with m = 1 << (63 - n): (x >>l n ^ m) - m.
-template <int N>
-inline __m128i sar64(__m128i x) {
-  const __m128i m = _mm_set1_epi64x(std::int64_t{1} << (63 - N));
-  return _mm_sub_epi64(_mm_xor_si128(_mm_srli_epi64(x, N), m), m);
-}
-
-/// Signed 32x32->64 multiply of the low dword of each 64-bit lane by a
-/// non-negative constant: mul_epu32 treats a negative value v as
-/// v + 2^32, so subtract c << 32 where the sign bit is set.
-inline __m128i mul32x64(__m128i v, __m128i cv) {
-  const __m128i p = _mm_mul_epu32(v, cv);
-  const __m128i corr =
-      _mm_slli_epi64(_mm_and_si128(_mm_srai_epi32(v, 31), cv), 32);
-  return _mm_sub_epi64(p, corr);
-}
-
-struct Sse2V {
-  /// Occupancy crossover (see simd_idct.h): the emulated 64-bit shifts
-  /// and signed multiplies (3-4 instructions each, over four register
-  /// halves) make this butterfly lose to the scalar column-skipping
-  /// kernel at *every* occupancy — measured 0.58x even on fully dense
-  /// blocks — so the unreachable threshold routes all IDCT scalar. The
-  /// vector body stays compiled and oracle-tested via idct_vector_raw()
-  /// for hosts/compilers where the balance differs.
-  static constexpr int kMinAcCols = 9;
-  struct Row {
-    __m128i a, b;  // int32 lanes 0-3, 4-7
-  };
-  /// Even/odd 64-bit lane split per Row half: e* holds dword lanes {0,2}
-  /// (and {4,6}), o* holds {1,3} ({5,7}); mul/widen/narrow keep the
-  /// layout consistent so add/sub/shift are plain lanewise ops.
-  struct Acc {
-    __m128i e0, o0, e1, o1;
-  };
-
-  static Row load16(const std::int16_t* p) {
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    return {_mm_srai_epi32(_mm_unpacklo_epi16(raw, raw), 16),
-            _mm_srai_epi32(_mm_unpackhi_epi16(raw, raw), 16)};
-  }
-  static Row zero() {
-    return {_mm_setzero_si128(), _mm_setzero_si128()};
-  }
-  static Row add32(Row x, Row y) {
-    return {_mm_add_epi32(x.a, y.a), _mm_add_epi32(x.b, y.b)};
-  }
-  static Row sub32(Row x, Row y) {
-    return {_mm_sub_epi32(x.a, y.a), _mm_sub_epi32(x.b, y.b)};
-  }
-
-  static Acc mul(Row r, std::int32_t c) {
-    const bool neg = c < 0;
-    const __m128i cv = _mm_set1_epi32(neg ? -c : c);
-    Acc p{mul32x64(r.a, cv), mul32x64(_mm_srli_epi64(r.a, 32), cv),
-          mul32x64(r.b, cv), mul32x64(_mm_srli_epi64(r.b, 32), cv)};
-    if (neg) {
-      const __m128i z = _mm_setzero_si128();
-      p = {_mm_sub_epi64(z, p.e0), _mm_sub_epi64(z, p.o0),
-           _mm_sub_epi64(z, p.e1), _mm_sub_epi64(z, p.o1)};
-    }
-    return p;
-  }
-
-  /// (widen(r) << kConstBits) + bias, the even-part term with the pass's
-  /// rounding constant folded in.
-  static Acc shl13_bias(Row r, std::int64_t bias) {
-    const __m128i bv = _mm_set1_epi64x(bias);
-    const auto one = [&](__m128i v, bool odd) {
-      __m128i w = odd ? sar64<32>(v) : sar64<32>(_mm_slli_epi64(v, 32));
-      return _mm_add_epi64(_mm_slli_epi64(w, idct::kConstBits), bv);
-    };
-    return {one(r.a, false), one(r.a, true), one(r.b, false), one(r.b, true)};
-  }
-
-  static Acc add(Acc x, Acc y) {
-    return {_mm_add_epi64(x.e0, y.e0), _mm_add_epi64(x.o0, y.o0),
-            _mm_add_epi64(x.e1, y.e1), _mm_add_epi64(x.o1, y.o1)};
-  }
-  static Acc sub(Acc x, Acc y) {
-    return {_mm_sub_epi64(x.e0, y.e0), _mm_sub_epi64(x.o0, y.o0),
-            _mm_sub_epi64(x.e1, y.e1), _mm_sub_epi64(x.o1, y.o1)};
-  }
-
-  /// acc >> N (arithmetic), truncated to the int32 lane layout.
-  template <int N>
-  static Row sar_narrow(Acc x) {
-    const __m128i lo32 = _mm_set1_epi64x(0xffffffffll);
-    const auto one = [&](__m128i e, __m128i o) {
-      return _mm_or_si128(_mm_and_si128(sar64<N>(e), lo32),
-                          _mm_slli_epi64(sar64<N>(o), 32));
-    };
-    return {one(x.e0, x.o0), one(x.e1, x.o1)};
-  }
-
-  static void transpose4(__m128i& r0, __m128i& r1, __m128i& r2,
-                         __m128i& r3) {
-    const __m128i t0 = _mm_unpacklo_epi32(r0, r1);
-    const __m128i t1 = _mm_unpacklo_epi32(r2, r3);
-    const __m128i t2 = _mm_unpackhi_epi32(r0, r1);
-    const __m128i t3 = _mm_unpackhi_epi32(r2, r3);
-    r0 = _mm_unpacklo_epi64(t0, t1);
-    r1 = _mm_unpackhi_epi64(t0, t1);
-    r2 = _mm_unpacklo_epi64(t2, t3);
-    r3 = _mm_unpackhi_epi64(t2, t3);
-  }
-
-  /// 8x8 int32 in-place transpose as four 4x4 blocks (off-diagonal pair
-  /// swaps).
-  static void transpose32(Row m[8]) {
-    transpose4(m[0].a, m[1].a, m[2].a, m[3].a);
-    transpose4(m[4].b, m[5].b, m[6].b, m[7].b);
-    __m128i tr0 = m[0].b, tr1 = m[1].b, tr2 = m[2].b, tr3 = m[3].b;
-    __m128i bl0 = m[4].a, bl1 = m[5].a, bl2 = m[6].a, bl3 = m[7].a;
-    transpose4(tr0, tr1, tr2, tr3);
-    transpose4(bl0, bl1, bl2, bl3);
-    m[0].b = bl0;
-    m[1].b = bl1;
-    m[2].b = bl2;
-    m[3].b = bl3;
-    m[4].a = tr0;
-    m[5].a = tr1;
-    m[6].a = tr2;
-    m[7].a = tr3;
-  }
-
-  /// Truncating int32 -> int16 (the scalar static_cast semantics; the
-  /// saturating packs instruction would diverge on fuzz inputs).
-  static __m128i trunc16(__m128i v) {
-    v = _mm_shufflelo_epi16(v, _MM_SHUFFLE(3, 1, 2, 0));
-    v = _mm_shufflehi_epi16(v, _MM_SHUFFLE(3, 1, 2, 0));
-    v = _mm_shuffle_epi32(v, _MM_SHUFFLE(3, 1, 2, 0));
-    return v;
-  }
-  static __m128i pack16(Row r) {
-    return _mm_unpacklo_epi64(trunc16(r.a), trunc16(r.b));
-  }
-
-  /// Pass-2 outputs are the block's columns (lanes = rows): narrow to
-  /// int16, 8x8 int16 transpose, row-major store.
-  static void store_cols16(Row o[8], std::int16_t* out) {
-    __m128i c[8];
-    for (int k = 0; k < 8; ++k) c[k] = pack16(o[k]);
-    simd::transpose_store_cols16(c, out);
-  }
-};
-
-void idct_sse2(Block& block, BlockSparsity s) {
-  simd::idct_simd<Sse2V>(block, s);
-}
-
-void idct_sse2_raw(Block& block, BlockSparsity s) {
-  simd::idct_simd_raw<Sse2V>(block, s);
-}
 
 // --- motion compensation ---------------------------------------------------
 
@@ -311,7 +148,7 @@ int sad16_sse2(const std::uint8_t* ref, int ref_stride,
 }
 
 constexpr KernelTable kSse2Table = {
-    "sse2",           idct_sse2,         mc_sse2,       conceal_copy_sse2,
+    "sse2",           detail::idct_scalar, mc_sse2,     conceal_copy_sse2,
     conceal_fill_sse2, sse_plane_sse2,   sad16_sse2,
 };
 
@@ -319,7 +156,6 @@ constexpr KernelTable kSse2Table = {
 
 namespace detail {
 const KernelTable* sse2_table() { return &kSse2Table; }
-IdctFn sse2_idct_raw() { return idct_sse2_raw; }
 }  // namespace detail
 
 }  // namespace pmp2::mpeg2::kernels
@@ -328,7 +164,6 @@ IdctFn sse2_idct_raw() { return idct_sse2_raw; }
 
 namespace pmp2::mpeg2::kernels::detail {
 const KernelTable* sse2_table() { return nullptr; }
-IdctFn sse2_idct_raw() { return nullptr; }
 }  // namespace pmp2::mpeg2::kernels::detail
 
 #endif

@@ -438,10 +438,12 @@ SliceResult decode_slice(BitReader& br, int slice_row,
 
   for (;;) {
     if (br.overrun()) return res;
-    // End of slice: the next 23 bits are zero (start of the next startcode)
-    // or the stream itself ends (e.g. a spliced stream with no
-    // sequence_end_code after the last slice).
-    if (br.bits_left() < 23 || br.peek(23) == 0) break;
+    // End of slice: the next 23 bits are zero (start of the next startcode).
+    // Peeks past the end read as zero, so at the end of a stream with no
+    // sequence_end_code (a spliced segment) this ends the slice only once
+    // the remaining bits are all zero stuffing — a last macroblock shorter
+    // than 23 bits still decodes.
+    if (br.peek(23) == 0) break;
     // --- macroblock_address_increment ---
     int increment = 0;
     for (;;) {

@@ -75,14 +75,10 @@ StageProfiler::~StageProfiler() = default;
 WorkerProf* StageProfiler::bind(int slot) {
   if (slot < 0 || slot >= static_cast<int>(slots_.size())) return nullptr;
   WorkerProf& w = slots_[static_cast<std::size_t>(slot)];
-  const bool first = !w.counting();
   w.tc_ = source_->open_thread();
   w.last_ = CounterSample{};
   w.cur_ = Stage::kOther;
-  if (w.tc_) {
-    w.tc_->read(&w.last_);
-    if (first) ++bound_;  // benign: binds race only across distinct slots
-  }
+  if (w.tc_) w.tc_->read(&w.last_);
   tls_worker_prof = w.tc_ ? &w : nullptr;
   return &w;
 }
@@ -93,8 +89,8 @@ ProfSummary StageProfiler::aggregate() const {
   ProfSummary s;
   s.source = source_->name();
   s.mask = source_->mask();
-  s.workers = bound_;
   for (const WorkerProf& w : slots_) {
+    if (w.counting()) ++s.workers;
     for (int i = 0; i < kStageCount; ++i) {
       s.stages[i].counters.accumulate(w.stages_[i].counters);
       s.stages[i].enters += w.stages_[i].enters;

@@ -143,7 +143,6 @@ class StageProfiler {
  private:
   std::unique_ptr<CounterSource> source_;
   std::vector<WorkerProf> slots_;
-  int bound_ = 0;  // distinct slots ever bound
 };
 
 /// RAII stage marker. One TLS load + branch when profiling is off.

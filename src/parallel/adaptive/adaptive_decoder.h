@@ -1,9 +1,11 @@
-// Adaptive-granularity hybrid decoder (ROADMAP item 3): one shared worker
-// pool, per-GOP dispatch between the two paper granularities.
+// Adaptive-granularity hybrid decoder: one shared worker pool, per-GOP
+// dispatch between the two paper granularities.
 //
-// Each scanned GOP lands on its owner worker's deque (owner = GOP index mod
-// workers, the GOP decoder's round-robin affinity). At pop time the policy
-// decides, from queue depth and an online cost model (src/sched
+// A one-session façade over the DecodeServer engine (src/serve/engine.h;
+// the definition lives in src/serve/facades.cpp and links via pmp2_serve):
+// decode() runs the stream as the only session of a private engine with
+// `workers` threads. Scanned GOPs wait in the session's FIFO; at pop time
+// the policy decides, from queue depth and an online cost model (src/sched
 // AdaptivePolicy / CostEwma — the same arithmetic the virtual-time sweeps
 // in simulate_adaptive validated):
 //
@@ -17,15 +19,10 @@
 //     picture decodes byte-identically to the GOP decoder's sequential
 //     loop (both run decode_one_picture).
 //
-// Work stealing: an idle worker first backfills exploded pictures (always
-// shared), then pops its own deque, then steals a whole GOP from the next
-// victim in sched::steal_order. Stolen work is attributed per worker
-// (WorkerStats::stolen_tasks / stolen_ns) so the analyzer can answer where
-// stolen work landed.
-//
-// Recovery semantics are the GOP decoder's: quarantine confines a fault to
-// its own GOP in both modes, and playback checksums equal the fixed GOP
-// decoder's on clean and damaged streams alike.
+// An idle worker claims ready exploded pictures before popping the next
+// GOP. Recovery semantics are the GOP decoder's: quarantine confines a
+// fault to its own GOP in both modes, and playback checksums equal the
+// fixed GOP decoder's on clean and damaged streams alike.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +50,8 @@ namespace pmp2::parallel {
 
 struct AdaptiveDecoderConfig {
   int workers = 4;
-  /// Maximum GOP tasks sitting in deques unstarted; the scan blocks when
-  /// full. 0 = unbounded (the paper's configuration).
+  /// Maximum GOP tasks queued unstarted; the scan blocks when full.
+  /// 0 = unbounded (the paper's configuration).
   std::size_t max_queued_gops = 0;
   /// Explode when fewer than this many GOP tasks are queued; 0 = use the
   /// worker count (sched::AdaptivePolicy::depth_threshold).
@@ -62,9 +59,6 @@ struct AdaptiveDecoderConfig {
   /// Explode a GOP predicted to cost more than this multiple of the
   /// average completed GOP (sched::AdaptivePolicy::cost_factor).
   double cost_factor = 2.0;
-  /// Allow idle workers to steal whole GOPs from other deques. Exploded
-  /// pictures are always shared regardless.
-  bool steal = true;
   /// Conceal corrupt slices instead of aborting (as in both fixed
   /// decoders); reported in RunResult::concealed_slices.
   bool conceal_errors = false;
@@ -73,7 +67,7 @@ struct AdaptiveDecoderConfig {
   /// either dispatch mode. Implies conceal_errors.
   bool quarantine_gops = false;
   /// Watchdog: fail the run (RunResult::hung) instead of blocking forever
-  /// when the coordinator or display stops progressing. 0 = off.
+  /// when the engine or display stops progressing. 0 = off.
   std::int64_t watchdog_ns = 0;
   /// Tracks frame-buffer bytes.
   mpeg2::MemoryTracker* tracker = nullptr;
@@ -99,7 +93,7 @@ class AdaptiveDecoder {
   /// plus a scan and a display role. Requires closed GOPs (the encoder's
   /// output) unless quarantine is on. Frames are delivered in display
   /// order through `on_frame` (may be empty). Fills RunResult's adaptive
-  /// accounting: gop_mode_gops, exploded_gops, stolen_tasks, pool hits.
+  /// accounting: gop_mode_gops, exploded_gops, pool hits.
   [[nodiscard]] RunResult decode(std::span<const std::uint8_t> stream,
                                  const FrameCallback& on_frame = {});
 

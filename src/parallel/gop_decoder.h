@@ -7,6 +7,12 @@
 // inter-worker communication other than the task queue — the paper's reason
 // for this design — at the cost of memory that grows with workers x GOP
 // size x picture size and poor random-access latency.
+//
+// A one-session façade over the DecodeServer engine (src/serve/engine.h;
+// the definition lives in src/serve/facades.cpp and links via pmp2_serve):
+// the session's producer is the scan process, the engine's pool the
+// workers, the session's DisplaySink the display process, and the engine
+// never explodes a GOP.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +55,7 @@ struct GopDecoderConfig {
   /// structure scan keeps the scanned prefix instead of failing the run.
   bool quarantine_gops = false;
   /// Watchdog: fail the run (RunResult::hung) instead of blocking forever
-  /// if the display stops receiving pictures for this long. 0 = off.
+  /// if the engine or display stops progressing for this long. 0 = off.
   std::int64_t watchdog_ns = 0;
   /// Tracks frame-buffer bytes (for the Fig. 8 memory measurements).
   mpeg2::MemoryTracker* tracker = nullptr;

@@ -1,10 +1,11 @@
-// Whole-GOP decode core shared by the GOP-parallel decoder and the
-// adaptive hybrid decoder (src/parallel/adaptive). A closed GOP decodes
+// Whole-GOP and per-picture decode core of the DecodeServer engine
+// (src/serve/server.cpp), which runs the GOP-parallel and adaptive
+// decoders as one-session façades. A closed GOP decodes
 // end to end with private reference frames; with quarantine on, every
 // undecodable picture is synthesized (concealed) so the GOP still delivers
 // its full picture count and sibling GOPs stay untouched. Keeping this in
-// one translation unit is what makes the adaptive decoder's throughput
-// mode bit-exact with the fixed GOP decoder by construction.
+// one translation unit is what makes whole-GOP and exploded dispatch
+// bit-exact with each other by construction.
 #pragma once
 
 #include <atomic>
@@ -69,8 +70,8 @@ struct PictureOutcome {
 /// fwd and bwd; quarantine conceals from bwd, falling back to fwd). With
 /// quarantine on, `ranked_display_index` carries the display_ranks()-based
 /// slot; otherwise the parsed temporal reference decides. Both the
-/// sequential GOP task loop and the adaptive decoder's exploded path call
-/// this one function, which is what keeps them byte-identical per picture.
+/// sequential GOP task loop and the engine's exploded path call this one
+/// function, which is what keeps them byte-identical per picture.
 [[nodiscard]] PictureOutcome decode_one_picture(
     std::span<const std::uint8_t> stream,
     const mpeg2::StreamStructure& structure, const mpeg2::PictureInfo& info,

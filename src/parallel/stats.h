@@ -26,12 +26,7 @@ struct WorkerStats {
   std::int64_t sync_ns = 0;     // wall time blocked on queues/dependencies
   std::int64_t idle_ns = 0;     // run wall time minus compute minus sync
                                 // (derived once the run finishes)
-  std::uint64_t tasks = 0;      // GOPs or slices completed
-  // Work-stealing attribution (adaptive decoder): tasks this worker
-  // executed that another worker owned, and the compute time they took —
-  // the "where did stolen work land" answer per worker.
-  std::uint64_t stolen_tasks = 0;
-  std::int64_t stolen_ns = 0;
+  std::uint64_t tasks = 0;      // GOPs, pictures or slices completed
   mpeg2::WorkMeter work;
 };
 
@@ -42,7 +37,7 @@ enum class RecoveryCause : std::uint8_t {
   kMissingReference,  // P/B picture with no reference available
   kOpenGop,           // GOP decoder fed a non-closed GOP
   kScanTruncated,     // structure scan failed mid-stream; prefix kept
-  kWatchdog,          // coordinator made no progress within the deadline
+  kWatchdog,          // scheduler made no progress within the deadline
   kDisplayTimeout,    // display never received every picture
 };
 
@@ -92,7 +87,7 @@ class ErrorLog {
 struct HangEvidence {
   std::string where;           // "display" | "coordinator"
   std::int64_t waited_ns = 0;  // the deadline that expired
-  std::int64_t epoch = -1;     // coordinator scheduling epoch (slice decoder)
+  std::int64_t epoch = -1;     // scheduling epoch (slice coordinator/engine)
   int pictures_delivered = 0;  // emitted in display order before the stall
   int pictures_indexed = 0;    // pictures the scan had indexed by then
   [[nodiscard]] std::string to_string() const;
@@ -115,13 +110,15 @@ struct RunResult {
   int errors_dropped = 0;           // records beyond the cap
   std::vector<WorkerStats> workers;
 
-  // Adaptive-granularity accounting (adaptive decoder only; zero
-  // elsewhere): how the dispatch policy split the stream, and how much
-  // work moved between workers.
+  // Dispatch accounting (GOP and adaptive decoders): how the engine
+  // split the stream between whole-GOP and per-picture tasks.
   int gop_mode_gops = 0;       // GOPs decoded whole (throughput mode)
-  int exploded_gops = 0;       // GOPs exploded into slice batches
-  std::uint64_t stolen_tasks = 0;  // sum over workers of stolen_tasks
-  // Frame-pool effectiveness (reserve() warm-allocation paths).
+  int exploded_gops = 0;       // GOPs exploded into picture tasks
+  /// Always 0: the engine serves one FIFO per session, so no task ever
+  /// moves between worker deques. Kept because the repository benchmark
+  /// (benchmark/drive.cpp) reads it.
+  std::uint64_t stolen_tasks = 0;
+  // Frame-pool effectiveness.
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
 

@@ -274,7 +274,7 @@ SimResult simulate_adaptive(const StreamProfile& profile,
         return true;
       }
     }
-    if (p < 0 && policy.steal) {
+    if (p < 0) {
       for (const int v : steal_order(w.id, config.workers)) {
         if (deques[static_cast<std::size_t>(v)].empty()) continue;
         const int g = deques[static_cast<std::size_t>(v)].front();

@@ -53,10 +53,6 @@ struct AdaptivePolicy {
   /// units x ns_per_unit cost model.
   double cost_factor = 2.0;
 
-  /// Allow idle workers to steal whole GOPs from other deques. Slice tasks
-  /// of exploded GOPs are always shared (that is the point of exploding).
-  bool steal = true;
-
   [[nodiscard]] int effective_depth(int workers) const {
     return depth_threshold > 0 ? depth_threshold : workers;
   }

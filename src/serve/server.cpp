@@ -11,20 +11,30 @@
 #include <utility>
 
 #include "mpeg2/structure_scan.h"
+#include "obs/live/telemetry.h"
+#include "obs/metrics.h"
+#include "obs/prof/stage_prof.h"
+#include "obs/tracer.h"
 #include "parallel/display.h"
 #include "parallel/gop_work.h"
 #include "parallel/worker_pool.h"
 #include "sched/adaptive.h"
 #include "sched/fairness.h"
+#include "serve/engine.h"
 #include "util/timer.h"
 
 namespace pmp2::serve {
 
 namespace {
 
-/// One GOP as a session's scheduler tracks it — the server-side analogue
-/// of the adaptive decoder's GopEntry, plus the enqueue timestamp the
-/// queue-inclusive latency histogram is measured from.
+/// Sync waits shorter than this are not worth a trace span; they still
+/// count toward sync_ns.
+constexpr std::int64_t kMinWaitSpanNs = 1'000;
+
+/// One GOP as a session's scheduler tracks it. Scan-time fields are
+/// immutable after push; the exploded block is built under the server
+/// mutex when the dispatch decision explodes the GOP. `enqueue_ns` is what
+/// the queue-inclusive latency histogram is measured from.
 struct GopEntry {
   mpeg2::GopInfo info;
   int index = 0;
@@ -32,16 +42,33 @@ struct GopEntry {
   std::uint64_t bytes = 0;
   std::int64_t enqueue_ns = 0;
 
-  // Exploded state (latency mode), exactly the adaptive decoder's shape.
+  // --- Exploded state (latency mode) ---
   bool exploded = false;
-  std::vector<int> ranks;
-  std::vector<int> newest;
-  std::vector<int> older;
+  std::vector<int> ranks;   // display_ranks (quarantine only)
+  std::vector<int> newest;  // per picture: newest non-B before it (-1 none)
+  std::vector<int> older;   // per picture: the non-B before that (-1 none)
   std::vector<std::uint8_t> state;  // 0 unclaimed, 1 running, 2 complete
-  std::vector<mpeg2::FramePtr> frames;
+  std::vector<mpeg2::FramePtr> frames;  // completed pictures (ref retention)
   int completed = 0;
   bool damaged = false;
-  std::int64_t cost_ns = 0;
+  std::int64_t cost_ns = 0;  // accumulated task CPU time (EWMA feedback)
+};
+
+/// Binds a stage-profiler slot to the calling thread for its lifetime.
+class ProfBinding {
+ public:
+  ProfBinding(obs::prof::StageProfiler* prof, int slot)
+      : prof_(prof ? prof->bind(slot) : nullptr) {}
+  ~ProfBinding() {
+    if (prof_) obs::prof::StageProfiler::unbind();
+  }
+  ProfBinding(const ProfBinding&) = delete;
+  ProfBinding& operator=(const ProfBinding&) = delete;
+
+  [[nodiscard]] obs::prof::WorkerProf* get() const { return prof_; }
+
+ private:
+  obs::prof::WorkerProf* prof_;
 };
 
 struct Session;
@@ -57,7 +84,6 @@ struct Claim {
   GopEntry* gop = nullptr;
   int entry = -1;
   int pic = -1;
-  bool popped_gop = false;
   int ranked_display = -1;
   std::int64_t charged_ns = 0;  // predicted cost debited at claim time
   mpeg2::FramePtr fwd, bwd;
@@ -81,6 +107,9 @@ struct Session {
   parallel::ErrorLog errors;
   parallel::GopObs gobs;
   obs::live::SessionSurface* surface = nullptr;
+  /// The session's telemetry: the surface's cells, or the façade's own.
+  obs::live::LiveTelemetry* live = nullptr;
+  std::int64_t scan_ns = 0;  // producer-only until finalize
 
   // Scheduler state, guarded by the server mutex.
   std::deque<GopEntry> entries;  // stable addresses
@@ -159,9 +188,16 @@ std::string_view session_state_name(SessionState s) {
   return "?";
 }
 
-struct DecodeServer::Impl {
-  explicit Impl(const ServerConfig& config)
+namespace {
+
+/// The one GOP dispatch engine: the public DecodeServer runs it with no
+/// hooks; the single-stream decoder façades run one hooked session on a
+/// private instance (detail::run_one_session).
+struct Engine {
+  explicit Engine(const ServerConfig& config,
+                  detail::EngineHooks hooks = {})
       : config_(config),
+        hooks_(std::move(hooks)),
         admission_(config.admission, config.workers),
         surfaces_(config.workers) {
     policy_.depth_threshold = config.depth_threshold;
@@ -170,9 +206,12 @@ struct DecodeServer::Impl {
     pool_.start(config.workers, [this](int w) { worker_main(w); });
   }
 
-  ~Impl() {
-    // Cancel whatever is not terminal, drain, stop the pool, and only
-    // then destroy sessions (their producers join in ~Session).
+  ~Engine() { shutdown(); }
+
+  /// Cancels whatever is not terminal, drains, and joins the pool.
+  /// Idempotent; sessions themselves die with the engine (their producers
+  /// join in ~Session).
+  void shutdown() {
     {
       const std::scoped_lock lock(mutex_);
       for (auto& s : sessions_) {
@@ -319,7 +358,7 @@ struct DecodeServer::Impl {
     return sessions_[static_cast<std::size_t>(id)].get();
   }
   const Session* find_locked(SessionId id) const {
-    return const_cast<Impl*>(this)->find_locked(id);
+    return const_cast<Engine*>(this)->find_locked(id);
   }
 
   void start_session_locked(Session& s) {
@@ -340,6 +379,7 @@ struct DecodeServer::Impl {
     s.state = SessionState::kRunning;
     s.start_ns = timer_.elapsed_ns();
     s.surface = &surfaces_.open(s.id, s.cfg.name);
+    s.live = hooks_.live ? hooks_.live : &s.surface->live;
     s.producer = std::jthread([this, &s] { producer_main(s); });
   }
 
@@ -369,9 +409,8 @@ struct DecodeServer::Impl {
   /// their own; their frames are released at entry completion as usual.
   void purge_session_queue_locked(Session& s) {
     queued_total_ -= static_cast<int>(s.queue.size());
-    if (s.surface) {
-      s.surface->live.add_queue_depth(
-          -static_cast<std::int64_t>(s.queue.size()));
+    if (s.live) {
+      s.live->add_queue_depth(-static_cast<std::int64_t>(s.queue.size()));
     }
     s.queue.clear();
     s.queued_gops = 0;
@@ -398,8 +437,19 @@ struct DecodeServer::Impl {
   // --- Producer: one per running session (scan + lifecycle). -------------
 
   void producer_main(Session& s) {
+    obs::Tracer* const tracer = hooks_.tracer;
+    const int scan_track = config_.workers;
+    const ProfBinding prof(hooks_.prof, scan_track);
+    WallTimer preamble_timer;
+    std::int64_t span_begin = tracer ? tracer->now_ns() : 0;
     mpeg2::StructureScanner scanner(s.stream);
-    if (!scanner.scan_preamble()) {
+    const bool preamble_ok = scanner.scan_preamble();
+    s.scan_ns = preamble_timer.elapsed_ns();
+    if (tracer) {
+      tracer->emit(scan_track, obs::SpanKind::kScan, span_begin,
+                   tracer->now_ns());
+    }
+    if (!preamble_ok) {
       // Admission validated the preamble, so this is defensive only.
       const std::scoped_lock lock(mutex_);
       s.aborted = true;
@@ -414,26 +464,40 @@ struct DecodeServer::Impl {
     // idle == misses (every frame ever allocated is back in the free
     // list), and reserve's uncounted allocations would blur it.
     s.pool.emplace(s.structure.seq.horizontal_size,
-                   s.structure.seq.vertical_size);
+                   s.structure.seq.vertical_size, hooks_.tracker);
     s.display.emplace([this, &s](mpeg2::FramePtr frame) {
       record_latency(s, *frame);
+      if (hooks_.on_frame) hooks_.on_frame(std::move(frame));
     });
-    s.display->set_live(&s.surface->live);
-    s.gobs.conceal_errors = s.cfg.quarantine_gops;
+    s.display->set_live(s.live);
+    s.gobs.tracer = tracer;
+    s.gobs.conceal_errors = s.cfg.quarantine_gops || hooks_.conceal_errors;
     s.gobs.quarantine = s.cfg.quarantine_gops;
     s.gobs.concealed = &s.concealed;
     s.gobs.concealed_pics = &s.concealed_pics;
     s.gobs.quarantined = &s.quarantined;
     s.gobs.errors = s.cfg.quarantine_gops ? &s.errors : nullptr;
-    s.gobs.live = &s.surface->live;
+    s.gobs.h_resync = hooks_.h_resync;
+    s.gobs.live = s.live;
 
     // Scan loop: stream GOPs into the session queue with backpressure.
     int index = 0;
     for (;;) {
+      WallTimer gop_timer;
+      span_begin = tracer ? tracer->now_ns() : 0;
       mpeg2::GopInfo gop;
-      const bool have = scanner.next_gop(gop);
+      bool have;
       {
-        obs::live::TelemetryCell::Write lw(s.surface->live.scan());
+        const obs::prof::StageScope scan_stage(obs::prof::Stage::kScan);
+        have = scanner.next_gop(gop);
+      }
+      s.scan_ns += gop_timer.elapsed_ns();
+      if (tracer) {
+        tracer->emit(scan_track, obs::SpanKind::kScan, span_begin,
+                     tracer->now_ns(), -1, -1, index);
+      }
+      {
+        obs::live::TelemetryCell::Write lw(s.live->scan());
         lw.set_bytes(static_cast<std::int64_t>(scanner.position()));
       }
       std::unique_lock lock(mutex_);
@@ -461,6 +525,10 @@ struct DecodeServer::Impl {
       }
       push_gop_locked(s, std::move(gop), index, lock);
       ++index;
+    }
+    if (prof.get()) {
+      obs::live::TelemetryCell::Write lw(s.live->scan());
+      lw.add_counters(prof.get()->take_task_delta());
     }
 
     // Lifecycle tail: publish the total, wait for the pool to finish the
@@ -496,6 +564,8 @@ struct DecodeServer::Impl {
   void push_gop_locked(Session& s, mpeg2::GopInfo&& gop, int index,
                        std::unique_lock<std::mutex>& lock) {
     if (s.cfg.max_queued_gops > 0) {
+      obs::Tracer* const tracer = hooks_.tracer;
+      const std::int64_t span_begin = tracer ? tracer->now_ns() : 0;
       WallTimer blocked;
       cv_.wait(lock, [&] {
         return s.queued_gops < static_cast<int>(s.cfg.max_queued_gops) ||
@@ -503,8 +573,12 @@ struct DecodeServer::Impl {
       });
       const std::int64_t blocked_ns = blocked.elapsed_ns();
       if (blocked_ns > 0) {
-        obs::live::TelemetryCell::Write lw(s.surface->live.scan());
+        obs::live::TelemetryCell::Write lw(s.live->scan());
         lw.add_backpressure_ns(blocked_ns);
+      }
+      if (tracer && blocked_ns >= kMinWaitSpanNs) {
+        tracer->emit(config_.workers, obs::SpanKind::kBackpressure,
+                     span_begin, span_begin + blocked_ns);
       }
     }
     if (s.cancel_requested || s.aborted || s.hung || stop_) return;
@@ -527,10 +601,10 @@ struct DecodeServer::Impl {
     ++s.queued_gops;
     ++s.pushed;
     ++queued_total_;
-    s.surface->live.add_queue_depth(1);
+    s.live->add_queue_depth(1);
     {
-      obs::live::TelemetryCell::Write lw(s.surface->live.scan());
-      lw.add_tasks().set_last_progress_ns(s.surface->live.now_ns());
+      obs::live::TelemetryCell::Write lw(s.live->scan());
+      lw.add_tasks().set_last_progress_ns(s.live->now_ns());
     }
     ++epoch_;
     cv_.notify_all();
@@ -606,10 +680,10 @@ struct DecodeServer::Impl {
   /// display one per emission).
   [[nodiscard]] bool session_wedged_locked(const Session& s) const {
     if (!s.pending_work()) return false;
-    if (s.in_flight == 0 || !s.surface) {
+    if (s.in_flight == 0 || !s.live) {
       return watchdog_wedged(true, s.in_flight, 0, 0, config_.watchdog_ns);
     }
-    const auto& live = s.surface->live;
+    const auto& live = *s.live;
     std::int64_t last = live.scan().sample().last_progress_ns;
     for (int w = 0; w < live.workers(); ++w) {
       last = std::max(last, live.worker(w).sample().last_progress_ns);
@@ -643,7 +717,7 @@ struct DecodeServer::Impl {
       GopEntry& e = s.entries[static_cast<std::size_t>(g)];
       for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
         if (pic_ready(e, i)) {
-          fill_picture_claim(s, e, g, i, false, out);
+          fill_picture_claim(s, e, g, i, out);
           charge_claim_locked(s, out, e.bytes /
                                           e.info.pictures.size());
           return true;
@@ -654,7 +728,7 @@ struct DecodeServer::Impl {
     s.queue.pop_front();
     --s.queued_gops;
     --queued_total_;
-    s.surface->live.add_queue_depth(-1);
+    s.live->add_queue_depth(-1);
     dispatch_locked(s, g, out);
     return true;
   }
@@ -670,6 +744,10 @@ struct DecodeServer::Impl {
     return false;
   }
 
+  /// A picture is claimable once its GOP-private references are complete:
+  /// every picture waits for the newest non-B before it (prediction source
+  /// for P, future reference for B, concealment source under quarantine);
+  /// B pictures additionally wait for the older one.
   static bool pic_ready(const GopEntry& e, int i) {
     if (e.state[static_cast<std::size_t>(i)] != 0) return false;
     const int nw = e.newest[static_cast<std::size_t>(i)];
@@ -685,14 +763,13 @@ struct DecodeServer::Impl {
   }
 
   void fill_picture_claim(Session& s, GopEntry& e, int g, int i,
-                          bool popped, Claim& out) {
+                          Claim& out) {
     e.state[static_cast<std::size_t>(i)] = 1;
     out.kind = Claim::Kind::kPicture;
     out.session = &s;
     out.gop = &e;
     out.entry = g;
     out.pic = i;
-    out.popped_gop = popped;
     const int nw = e.newest[static_cast<std::size_t>(i)];
     const int ol = e.older[static_cast<std::size_t>(i)];
     out.bwd = nw >= 0 ? e.frames[static_cast<std::size_t>(nw)] : nullptr;
@@ -703,9 +780,13 @@ struct DecodeServer::Impl {
             : -1;
   }
 
+  /// The dispatch decision, at pop time, with the popped GOP still counted
+  /// in the queue depth (matching simulate_adaptive). The whole-GOP
+  /// granularity never explodes.
   void dispatch_locked(Session& s, int g, Claim& out) {
     GopEntry& e = s.entries[static_cast<std::size_t>(g)];
     const bool explode =
+        hooks_.granularity == detail::Granularity::kAdaptive &&
         !e.info.pictures.empty() &&
         sched::should_explode(policy_, config_.workers, queued_total_ + 1,
                               ewma_, e.bytes);
@@ -715,9 +796,11 @@ struct DecodeServer::Impl {
       explode_entry(s, e);
       s.active.insert(
           std::lower_bound(s.active.begin(), s.active.end(), g), g);
+      // The dispatching worker claims the GOP's first ready picture itself
+      // (picture 0 has no intra-GOP references, so one is always ready).
       for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
         if (pic_ready(e, i)) {
-          fill_picture_claim(s, e, g, i, true, out);
+          fill_picture_claim(s, e, g, i, out);
           break;
         }
       }
@@ -731,7 +814,6 @@ struct DecodeServer::Impl {
       out.gop = &e;
       out.entry = g;
       out.pic = -1;
-      out.popped_gop = true;
       charge_claim_locked(s, out, e.bytes);
     }
     cv_.notify_all();  // a backpressured producer may resume
@@ -747,6 +829,11 @@ struct DecodeServer::Impl {
     ++s.in_flight;
   }
 
+  /// Builds the exploded block: the static non-B reference chain (scan
+  /// picture types) mirrors decode_gop's rolling fwd/bwd state machine, so
+  /// resolved references match the sequential path picture for picture —
+  /// including quarantined reference pictures, whose synthesized frames
+  /// feed later predictions exactly as in the whole-GOP task.
   void explode_entry(Session& s, GopEntry& e) {
     const std::size_t n = e.info.pictures.size();
     e.exploded = true;
@@ -894,10 +981,23 @@ struct DecodeServer::Impl {
   void worker_main(int w) {
     parallel::WorkerStats& stats =
         worker_stats_[static_cast<std::size_t>(w)];
+    obs::Tracer* const tracer = hooks_.tracer;
+    const ProfBinding prof(hooks_.prof, w);
     for (;;) {
+      const std::int64_t wait_begin = tracer ? tracer->now_ns() : 0;
+      const std::int64_t sync_before = stats.sync_ns;  // this thread's
       Claim claim;
-      if (!this->claim(claim, w)) break;
+      const bool have = this->claim(claim, w);
+      if (tracer) {
+        const std::int64_t wait_end = tracer->now_ns();
+        if (wait_end - wait_begin >= kMinWaitSpanNs) {
+          tracer->emit(w, obs::SpanKind::kQueueWait, wait_begin, wait_end);
+        }
+      }
+      if (!have) break;
+      if (hooks_.h_wait) hooks_.h_wait->record(stats.sync_ns - sync_before);
       Session& s = *claim.session;
+      const std::int64_t task_begin = tracer ? tracer->now_ns() : 0;
       ThreadCpuTimer cpu;
       // claim.gop was resolved under mutex_; never re-index s.entries
       // here — the producer may be push_back-ing the deque concurrently.
@@ -912,7 +1012,11 @@ struct DecodeServer::Impl {
                                              *s.pool, *s.display, stats,
                                              s.gobs, w);
         const std::int64_t task_ns = cpu.elapsed_ns();
-        note_task(stats, s, w, task_ns);
+        if (tracer) {
+          tracer->emit(w, obs::SpanKind::kGopTask, task_begin,
+                       tracer->now_ns(), -1, -1, e.index);
+        }
+        note_task(stats, s, w, task_ns, prof.get());
         finish_whole(claim, task_ns, ok);
       } else {
         const GopEntry& e = *claim.gop;
@@ -934,14 +1038,14 @@ struct DecodeServer::Impl {
         // back in the free list by then.
         claim.fwd.reset();
         claim.bwd.reset();
-        note_task(stats, s, w, task_ns);
+        note_task(stats, s, w, task_ns, prof.get());
         finish_picture(claim, std::move(out.frame), task_ns, damaged, ok);
       }
     }
   }
 
   void note_task(parallel::WorkerStats& stats, Session& s, int w,
-                 std::int64_t task_ns) {
+                 std::int64_t task_ns, obs::prof::WorkerProf* prof) {
     {
       // load_summary() reads these under mutex_ from other threads.
       // note_task runs BEFORE finish_* settles the claim, so by the time
@@ -951,11 +1055,15 @@ struct DecodeServer::Impl {
       stats.compute_ns += task_ns;
       ++stats.tasks;
     }
-    obs::live::TelemetryCell::Write lw(s.surface->live.worker(w));
-    lw.add_tasks().add_busy_ns(task_ns);
+    if (hooks_.h_task) hooks_.h_task->record(task_ns);
+    if (hooks_.m_tasks) hooks_.m_tasks->add();
+    obs::live::TelemetryCell::Write lw(s.live->worker(w));
+    lw.add_tasks().add_busy_ns(task_ns).set_sync_ns(stats.sync_ns);
+    if (prof) lw.add_counters(prof->take_task_delta());
   }
 
   const ServerConfig config_;
+  const detail::EngineHooks hooks_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
@@ -980,6 +1088,30 @@ struct DecodeServer::Impl {
   bool stop_ = false;
   parallel::WorkerPool pool_;  // last member: joins before the rest dies
 };
+
+}  // namespace
+
+struct DecodeServer::Impl : Engine {
+  using Engine::Engine;
+};
+
+namespace detail {
+
+OneSessionRun run_one_session(std::span<const std::uint8_t> stream,
+                              const ServerConfig& config,
+                              SessionConfig session, EngineHooks hooks) {
+  Engine engine(config, std::move(hooks));
+  const SessionId id = engine.submit(stream, std::move(session));
+  OneSessionRun run;
+  run.session = engine.wait(id);
+  engine.shutdown();  // joins the pool: every worker's stats are final
+  run.workers = engine.worker_stats_;
+  run.epoch = static_cast<std::int64_t>(engine.epoch_);
+  run.scan_s = static_cast<double>(engine.sessions_.front()->scan_ns) / 1e9;
+  return run;
+}
+
+}  // namespace detail
 
 DecodeServer::DecodeServer(const ServerConfig& config)
     : impl_(std::make_unique<Impl>(config)) {}

@@ -34,6 +34,10 @@
 // progress, not a wedge). Terminal sessions are retained until forget()
 // releases them, so a long-lived server can bound its memory to the
 // live set.
+//
+// The server's claim loop is the only GOP dispatch engine: the
+// single-stream GopParallelDecoder and AdaptiveDecoder are one-session
+// façades over it (serve/engine.h, serve/facades.cpp).
 #pragma once
 
 #include <cstdint>

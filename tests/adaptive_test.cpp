@@ -4,18 +4,22 @@
 // hybrid decoder's core guarantee — dispatch mode is invisible in the
 // output. The checksum matrix asserts adaptive == gop == slice byte-
 // identically on every Table-1 stream shape, clean and under injected
-// faults; the stress test exercises the work-stealing paths under
-// contention (also run under TSan via scripts/ci.sh).
+// faults; the stress test exercises the engine's contended claim paths
+// and the profiler test concurrent slot binds (both also run under TSan
+// via scripts/ci.sh).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "bitstream/startcode.h"
 #include "inject/fault.h"
 #include "mpeg2/decoder.h"
+#include "obs/prof/counters.h"
+#include "obs/prof/stage_prof.h"
 #include "parallel/adaptive/adaptive_decoder.h"
 #include "parallel/display.h"
 #include "parallel/gop_decoder.h"
@@ -291,6 +295,41 @@ TEST(AdaptiveDecoder, ShallowQueueExplodesDeepQueueRunsWhole) {
   EXPECT_EQ(l.checksum, r.checksum);  // dispatch mode invisible
 }
 
+TEST(AdaptiveDecoder, FourWorkersBindProfilerSlotsConcurrently) {
+  // Every worker and the scan producer bind their own profiler slot at
+  // the same time; under TSan this proves bind() shares no state.
+  streamgen::StreamSpec spec;
+  spec.width = 176;
+  spec.height = 120;
+  spec.gop_size = 4;
+  spec.pictures = 16;
+  spec.bit_rate = 1'500'000;
+  const auto stream = streamgen::generate_stream(spec);
+  const std::uint64_t reference = sequential_checksum(stream);
+  for (const bool adaptive : {true, false}) {
+    obs::prof::StageProfiler prof(
+        std::make_unique<obs::prof::SoftwareCounterSource>(), 5);
+    RunResult r;
+    if (adaptive) {
+      AdaptiveDecoderConfig cfg;
+      cfg.workers = 4;
+      cfg.prof = &prof;
+      r = AdaptiveDecoder(cfg).decode(stream, {});
+    } else {
+      GopDecoderConfig cfg;
+      cfg.workers = 4;
+      cfg.prof = &prof;
+      r = GopParallelDecoder(cfg).decode(stream, {});
+    }
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.checksum, reference);
+    const obs::prof::ProfSummary summary = prof.aggregate();
+    EXPECT_EQ(summary.workers, 5) << "4 workers + the scan slot";
+    EXPECT_GT(summary.stages[static_cast<int>(obs::prof::Stage::kScan)].enters,
+              0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Checksum matrix: all 16 Table-1 stream shapes, clean and faulted. The
 // picture counts are bounded for test speed; every GOP size still
@@ -393,7 +432,7 @@ TEST(AdaptiveChecksumMatrix, InjectedFaultsPreserveDispatchEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
-// Steal-path stress (TSan target): repeated contended decodes must be
+// Claim-path stress (TSan target): repeated contended decodes must be
 // deterministic and mode-independent.
 
 TEST(AdaptiveStress, ContendedStealPathsStayDeterministic) {
@@ -401,7 +440,7 @@ TEST(AdaptiveStress, ContendedStealPathsStayDeterministic) {
   spec.width = 176;
   spec.height = 120;
   spec.gop_size = 4;
-  spec.pictures = 24;  // 6 GOPs across 8 workers: constant stealing
+  spec.pictures = 24;  // 6 GOPs across 8 workers: constant contention
   spec.bit_rate = 1'500'000;
   auto stream = streamgen::generate_stream(spec);
   corrupt_middle_slice(stream);  // recovery paths under contention too

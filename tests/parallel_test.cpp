@@ -1,17 +1,15 @@
-// Parallel-runtime tests: queue/display primitives, and the paper's core
+// Parallel-runtime tests: display primitives, and the paper's core
 // correctness invariant — every parallel decoder variant produces output
 // bit-identical to the sequential decoder, in display order.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <thread>
 
 #include "mpeg2/decoder.h"
 #include "parallel/display.h"
 #include "parallel/gop_decoder.h"
 #include "parallel/slice_parallel.h"
-#include "parallel/task_queue.h"
 #include "streamgen/stream_factory.h"
 
 namespace pmp2::parallel {
@@ -19,77 +17,6 @@ namespace {
 
 using streamgen::StreamSpec;
 using streamgen::generate_stream;
-
-// --- TaskQueue -------------------------------------------------------------
-
-TEST(TaskQueue, FifoSingleThread) {
-  TaskQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  q.close();
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(TaskQueue, CloseUnblocksConsumers) {
-  TaskQueue<int> q;
-  std::atomic<int> finished{0};
-  std::vector<std::jthread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      while (q.pop().has_value()) {
-      }
-      finished.fetch_add(1);
-    });
-  }
-  q.push(42);
-  q.close();
-  consumers.clear();
-  EXPECT_EQ(finished.load(), 3);
-}
-
-TEST(TaskQueue, AllTasksConsumedExactlyOnce) {
-  TaskQueue<int> q;
-  constexpr int kTasks = 2000;
-  std::mutex m;
-  std::multiset<int> seen;
-  {
-    std::vector<std::jthread> consumers;
-    for (int i = 0; i < 4; ++i) {
-      consumers.emplace_back([&] {
-        while (auto t = q.pop()) {
-          const std::scoped_lock lock(m);
-          seen.insert(*t);
-        }
-      });
-    }
-    for (int i = 0; i < kTasks; ++i) q.push(i);
-    q.close();
-  }
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kTasks));
-  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(seen.count(i), 1u) << i;
-}
-
-TEST(TaskQueue, BoundedCapacityBlocksProducer) {
-  TaskQueue<int> q(2);
-  q.push(1);
-  q.push(2);
-  std::atomic<bool> third_pushed{false};
-  std::jthread producer([&] {
-    q.push(3);
-    third_pushed.store(true);
-  });
-  // Producer must be blocked while the queue is full.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_pushed.load());
-  EXPECT_TRUE(q.pop().has_value());
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-  q.close();
-}
 
 // --- DisplaySink -------------------------------------------------------------
 

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "inject/fault.h"
+#include "mpeg2/decoder.h"
+#include "parallel/adaptive/adaptive_decoder.h"
 #include "parallel/gop_decoder.h"
 #include "sched/fairness.h"
 #include "serve/admission.h"
@@ -557,6 +559,66 @@ TEST(ServerLifecycle, SequentialSessionsReuseThePool) {
     EXPECT_EQ(r.checksum, expected) << "round " << round;
   }
   EXPECT_EQ(server.load_summary().workers, 3);
+}
+
+// ---------------------------------------------------------------------------
+// End of stream without sequence_end_code: the last slice of the last
+// picture still decodes to its final macroblock, in every decoder.
+
+std::uint64_t sequential_checksum(std::span<const std::uint8_t> stream) {
+  mpeg2::Decoder decoder;
+  std::uint64_t digest = 0;
+  const auto status = decoder.decode_stream(stream, [&](mpeg2::FramePtr f) {
+    digest = parallel::chain_frame_checksum(digest, *f);
+  });
+  EXPECT_TRUE(status.ok);
+  return digest;
+}
+
+TEST(EndOfStream, SegmentsWithoutEndCodeDecodeEveryMacroblock) {
+  // The Table-1 CIF stream cut into one-GOP segments (preamble + GOP), as
+  // a live packager would publish them: no trailing end code.
+  const auto base = make_stream(352, 240, 13, 130, 5'000'000);
+  const mpeg2::StreamStructure s = mpeg2::scan_structure(base);
+  ASSERT_TRUE(s.valid);
+  ASSERT_EQ(s.gops.size(), 10u);
+  const auto at = [&](std::uint64_t off) {
+    return base.begin() + static_cast<std::ptrdiff_t>(off);
+  };
+  ServerConfig server_config;
+  server_config.workers = 2;
+  DecodeServer server(server_config);
+  for (std::size_t g = 0; g < s.gops.size(); ++g) {
+    std::vector<std::uint8_t> bare(base.begin(), at(s.gops.front().offset));
+    bare.insert(bare.end(), at(s.gops[g].offset), at(s.gops[g].end_offset));
+    std::vector<std::uint8_t> ended = bare;
+    ended.insert(ended.end(), {0x00, 0x00, 0x01, 0xB7});
+    const std::uint64_t want = sequential_checksum(ended);
+
+    EXPECT_EQ(sequential_checksum(bare), want) << "sequential, GOP " << g;
+
+    parallel::GopDecoderConfig gop_config;
+    gop_config.workers = 2;
+    gop_config.quarantine_gops = true;
+    const auto gop = parallel::GopParallelDecoder(gop_config).decode(bare);
+    ASSERT_TRUE(gop.ok) << "GOP " << g;
+    EXPECT_EQ(gop.checksum, want) << "gop decoder, GOP " << g;
+    EXPECT_EQ(gop.concealed_slices, 0) << "gop decoder, GOP " << g;
+
+    parallel::AdaptiveDecoderConfig adaptive_config;
+    adaptive_config.workers = 2;
+    adaptive_config.quarantine_gops = true;
+    const auto adaptive =
+        parallel::AdaptiveDecoder(adaptive_config).decode(bare);
+    ASSERT_TRUE(adaptive.ok) << "GOP " << g;
+    EXPECT_EQ(adaptive.checksum, want) << "adaptive decoder, GOP " << g;
+    EXPECT_EQ(adaptive.concealed_slices, 0) << "adaptive decoder, GOP " << g;
+
+    const SessionResult r = server.wait(server.submit(bare, {}));
+    ASSERT_TRUE(r.ok) << "GOP " << g;
+    EXPECT_EQ(r.checksum, want) << "server session, GOP " << g;
+    EXPECT_EQ(r.concealed_slices, 0) << "server session, GOP " << g;
+  }
 }
 
 }  // namespace

@@ -25,7 +25,7 @@
 //     decoders with identical checksums (checked once per stream);
 //   * dispatch equivalence: whenever both succeed on a corrupt stream, the
 //     adaptive decoder's output is byte-identical to the GOP decoder's —
-//     the hybrid dispatch (whole vs exploded, stolen or not) must never
+//     the hybrid dispatch (whole vs exploded) must never
 //     change a single output byte, faults included;
 //   * a failed corrupt run must say why (error records or zero pictures).
 //
