@@ -92,8 +92,12 @@ stage_tsan() {
   # stream-content coverage that tier-1 already runs and would dominate
   # this stage's wall time under TSan. test_serve's Server/ServerLifecycle
   # suites put the DecodeServer's session lifecycle (concurrent open,
-  # decode, cancel, teardown over one shared pool) under the same lens;
-  # the single-threaded Admission/Fairness math stays in tier-1.
+  # decode, cancel, teardown over one shared pool) under the same lens.
+  # Worker threads now also start wait-listed sessions: every clean GOP
+  # completion updates the admission calibration and re-checks the wait
+  # list, and Server.AdmissionSnapshotIsSafeWhileSessionsDecode reads that
+  # state from a client thread meanwhile. The single-threaded
+  # Admission/Fairness math stays in tier-1.
   run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPMP2_SANITIZE=thread || return 1
   run cmake --build build-tsan -j "$JOBS" \
@@ -157,9 +161,14 @@ stage_serve() {
   # leak proofs) run first, then two loadgen runs over the Table 1 stream
   # set, each bounded by CI_SERVE_BUDGET seconds of wall clock so a wedged
   # server fails the stage instead of hanging the runner:
-  #   1. smoke: 8 concurrent sessions through one shared 4-worker pool;
-  #      the report must be a schema-valid pmp2-bench-report/1 document
-  #      (proved by merging it through bench_check).
+  #   1. smoke: 8 concurrent sessions through one shared 4-worker pool at
+  #      the default admission capacity, where the server charges sessions
+  #      by completed-GOP CPU time; worker threads then start wait-listed
+  #      sessions as soon as their calibrated charges fit. The report
+  #      must be a schema-valid pmp2-bench-report/1 document (proved by
+  #      merging it through bench_check), and its admission object must
+  #      show calibrated_gops > 0: a run that never calibrated did not
+  #      exercise the path this stage claims to cover.
   #   2. isolation soak: 12 sessions with sessions 2 and 5 corrupted;
   #      --verify-isolation asserts every clean session's checksum is
   #      byte-identical to a solo run of the same stream, and the loadgen
@@ -172,6 +181,11 @@ stage_serve() {
       --sessions 8 --workers 4 \
       --report-out=build/serve_smoke.json || return 1
   run build/tools/bench_check --merge --out=build/serve_smoke_suite.json \
+      build/serve_smoke.json || return 1
+  run python3 -c 'import json, sys
+a = json.load(open(sys.argv[1]))["admission"]
+print("admission:", a)
+sys.exit(0 if a["calibrated_gops"] > 0 else "no GOP calibrated admission")' \
       build/serve_smoke.json || return 1
   run timeout "$budget" build/tools/pmp2_loadgen --streams bench_streams \
       --sessions 12 --workers 4 --corrupt 2,5 --fault-seed 3 \

@@ -25,28 +25,36 @@ void ReportValue::write(JsonWriter& w) const {
   }
 }
 
+namespace {
+
+void write_fields(
+    JsonWriter& w,
+    const std::vector<std::pair<std::string, ReportValue>>& fields) {
+  w.begin_object();
+  for (const auto& [key, value] : fields) {
+    w.key(key);
+    value.write(w);
+  }
+  w.end_object();
+}
+
+}  // namespace
+
 void RunReport::write_json(std::ostream& os) const {
   JsonWriter w(os);
   w.begin_object();
   w.key("schema").value(kSchema);
   w.key("tool").value(tool_);
   w.key("description").value(description_);
-  w.key("meta").begin_object();
-  for (const auto& [key, value] : meta_) {
-    w.key(key);
-    value.write(w);
-  }
-  w.end_object();
+  w.key("meta");
+  write_fields(w, meta_);
   w.key("rows").begin_array();
-  for (const auto& row : rows_) {
-    w.begin_object();
-    for (const auto& [key, value] : row.fields_) {
-      w.key(key);
-      value.write(w);
-    }
-    w.end_object();
-  }
+  for (const auto& row : rows_) write_fields(w, row.fields_);
   w.end_array();
+  for (const auto& [key, object] : objects_) {
+    w.key(key);
+    write_fields(w, object.fields_);
+  }
   if (!alerts_.empty()) {
     w.key("alerts").begin_array();
     for (const auto& alert : alerts_) {

@@ -8,6 +8,7 @@
 //     "description": "...",
 //     "meta": { ... run-wide configuration ... },
 //     "rows": [ { ... one data point ... }, ... ],
+//     "<name>": { ... run-wide results, one per add_object() ... },
 //     "metrics": { counters/histograms, when a Registry is attached }
 //   }
 //
@@ -92,6 +93,13 @@ class RunReport {
   /// Appends a data point; the reference stays valid (deque storage).
   Row& add_row() { return rows_.emplace_back(); }
 
+  /// Adds a named top-level object of run-wide results (a server's final
+  /// admission state, say), written after "rows". Reports that add none
+  /// serialize exactly as before.
+  Row& add_object(std::string key) {
+    return objects_.emplace_back(std::move(key), Row{}).second;
+  }
+
   /// Records one SLO alert; serialized as a top-level "alerts" array. The
   /// array is omitted entirely when no alert was recorded, so reports from
   /// runs without live SLOs stay byte-identical to earlier versions.
@@ -118,6 +126,7 @@ class RunReport {
   std::string description_;
   std::vector<std::pair<std::string, ReportValue>> meta_;
   std::deque<Row> rows_;
+  std::deque<std::pair<std::string, Row>> objects_;
   std::vector<ReportAlert> alerts_;
   const Registry* metrics_ = nullptr;
 };

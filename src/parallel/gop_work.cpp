@@ -151,13 +151,14 @@ PictureOutcome decode_one_picture(std::span<const std::uint8_t> stream,
   return out;
 }
 
-bool decode_gop(std::span<const std::uint8_t> stream,
-                const mpeg2::StreamStructure& structure, const GopTask& task,
-                mpeg2::FramePool& pool, DisplaySink& display,
-                WorkerStats& stats, const GopObs& gobs, int worker) {
+GopOutcome decode_gop(std::span<const std::uint8_t> stream,
+                      const mpeg2::StreamStructure& structure,
+                      const GopTask& task, mpeg2::FramePool& pool,
+                      DisplaySink& display, WorkerStats& stats,
+                      const GopObs& gobs, int worker) {
   mpeg2::FramePtr fwd_ref, bwd_ref;
   int pic_index = task.decode_base;
-  bool damaged = false;
+  GopOutcome outcome;
   std::vector<int> ranks;
   if (gobs.quarantine) ranks = mpeg2::display_ranks(*task.info);
   for (int i = 0; i < static_cast<int>(task.info->pictures.size());
@@ -170,9 +171,9 @@ bool decode_gop(std::span<const std::uint8_t> stream,
     PictureOutcome out = decode_one_picture(
         stream, structure, info, task.index, pic_index, task.display_base,
         ranked, fwd_ref, bwd_ref, pool, display, stats, gobs, worker);
-    if (!out.frame) return false;
+    if (!out.frame) return outcome;
     if (out.quarantined || (out.concealed_slices > 0 && gobs.quarantine)) {
-      damaged = true;
+      outcome.damaged = true;
     }
     // References advance on every non-B picture — a quarantined picture's
     // synthesized frame serves as the reference, which is what bounds the
@@ -183,10 +184,11 @@ bool decode_gop(std::span<const std::uint8_t> stream,
       bwd_ref = std::move(out.frame);
     }
   }
-  if (damaged && gobs.quarantined) {
+  if (outcome.damaged && gobs.quarantined) {
     gobs.quarantined->fetch_add(1, std::memory_order_relaxed);
   }
-  return true;
+  outcome.ok = true;
+  return outcome;
 }
 
 }  // namespace pmp2::parallel

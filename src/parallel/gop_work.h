@@ -80,11 +80,19 @@ struct PictureOutcome {
     mpeg2::FramePool& pool, DisplaySink& display, WorkerStats& stats,
     const GopObs& gobs, int worker);
 
+/// What decode_gop did with one GOP.
+struct GopOutcome {
+  bool ok = false;       // false only when recovery is off and a picture
+                         // failed
+  bool damaged = false;  // quarantine on, and a picture was synthesized
+                         // or had slices concealed
+};
+
 /// Decodes one closed GOP with private reference state. Frames come from
 /// the shared pool; finished pictures go straight to the display sink.
-/// Returns false only when recovery is off (gobs.quarantine clear); with
+/// Fails only when recovery is off (gobs.quarantine clear); with
 /// quarantine every picture is delivered, concealed where undecodable.
-[[nodiscard]] bool decode_gop(std::span<const std::uint8_t> stream,
+[[nodiscard]] GopOutcome decode_gop(std::span<const std::uint8_t> stream,
                               const mpeg2::StreamStructure& structure,
                               const GopTask& task, mpeg2::FramePool& pool,
                               DisplaySink& display, WorkerStats& stats,

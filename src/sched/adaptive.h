@@ -11,11 +11,16 @@
 // the frame-latency objective (SimResult::frame_latency_ns) provides the
 // second Pareto axis next to makespan.
 //
-// Work stealing: each worker owns a deque of GOP tasks (owner = gop index
-// mod workers, preserving the GOP decoder's round-robin affinity); an idle
-// worker first backfills slice tasks of any exploded GOP, then pops its own
-// deque, then steals a whole GOP from the next worker in steal_order().
-// Stolen-task counts per worker answer "where did stolen work land".
+// The real engine (the DecodeServer claim loop in src/serve/server.cpp,
+// which the GOP and adaptive decoders run as one-session façades) keeps
+// one FIFO of GOP tasks per session and shares CostEwma and
+// should_explode() below with this simulator. Work stealing exists only
+// in the simulator: each simulated worker owns a deque of GOP tasks
+// (owner = gop index mod workers); an idle one first backfills slice
+// tasks of any exploded GOP, then pops its own deque, then steals a whole
+// GOP from the next worker in steal_order(). The simulator moves to the
+// engine's single FIFO when src/sched folds into the engine (ROADMAP
+// item 1).
 #pragma once
 
 #include <vector>
@@ -26,9 +31,9 @@ namespace pmp2::sched {
 
 /// Victim order for worker `self` of `workers`: self+1, self+2, ... wrapped,
 /// excluding self. Deterministic and purely index-based so steal decisions
-/// are reproducible and unit-testable. Header-only (like CostEwma and
-/// should_explode below) so the real decoder in src/parallel can share the
-/// exact policy arithmetic without a link dependency on pmp2_sched.
+/// are reproducible and unit-testable. Header-only, like CostEwma and
+/// should_explode below, which the engine in src/serve shares without a
+/// link dependency on pmp2_sched.
 [[nodiscard]] inline std::vector<int> steal_order(int self, int workers) {
   std::vector<int> out;
   if (workers <= 1) return out;
@@ -42,7 +47,7 @@ namespace pmp2::sched {
 /// Dispatch policy knobs for the hybrid decoder and its simulator.
 struct AdaptivePolicy {
   /// Explode a GOP when fewer than this many GOP tasks are queued across
-  /// all deques (the pipeline is shallow, so latency wins over locality).
+  /// all queues (the pipeline is shallow, so latency wins over locality).
   /// 0 = use the worker count, the natural "can everyone stay busy" depth.
   int depth_threshold = 0;
 

@@ -1,5 +1,8 @@
 #include "serve/admission.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "mpeg2/structure_scan.h"
 
 namespace pmp2::serve {
@@ -53,6 +56,61 @@ AdmissionDecision AdmissionController::decide(
     return AdmissionDecision::kQueue;
   }
   return AdmissionDecision::kReject;
+}
+
+void AdmissionController::observe(AdmissionCharge& charge,
+                                  const StreamLoadProfile& p,
+                                  double measured_share) {
+  if (config_.capacity > 0) return;
+  // Rejects zero, negative, NaN and infinite shares (an unmeasured task,
+  // an empty GOP, a zero frame rate).
+  if (!(measured_share > 0) || !std::isfinite(measured_share)) return;
+  if (charge.measured_share == 0) {
+    const double ratio =
+        measured_share / (p.predicted_load / kDefaultWorkerCapacity);
+    if (ratio > 0 && std::isfinite(ratio)) record_ratio(p, ratio);
+  }
+  charge.measured_share =
+      charge.measured_share == 0
+          ? measured_share
+          : (1.0 - kMeasuredShareAlpha) * charge.measured_share +
+                kMeasuredShareAlpha * measured_share;
+  const double load =
+      charge.measured_share * kDefaultWorkerCapacity / kTargetOccupancy;
+  admitted_load_ += load - charge.load;
+  charge.load = load;
+  ++calibrated_gops_;
+}
+
+AdmissionCharge AdmissionController::charge_for(
+    const StreamLoadProfile& p) const {
+  AdmissionCharge c = p;
+  const auto k = std::find_if(classes_.begin(), classes_.end(),
+                              [&](const StreamClass& e) { return e.holds(p); });
+  if (k != classes_.end()) {
+    const double ratio = *std::max_element(k->ratios.begin(), k->ratios.end());
+    c.load *= std::min(1.0, ratio / kTargetOccupancy);
+  }
+  return c;
+}
+
+void AdmissionController::record_ratio(const StreamLoadProfile& p,
+                                       double ratio) {
+  auto k = std::find_if(classes_.begin(), classes_.end(),
+                        [&](const StreamClass& e) { return e.holds(p); });
+  if (k == classes_.end()) {
+    const StreamClass fresh{p.width, p.height, p.frame_rate, p.bit_rate,
+                            p.vbv_bits};
+    if (classes_.size() < kMaxStreamClasses) {
+      k = classes_.insert(classes_.end(), fresh);
+    } else {
+      k = classes_.begin() + static_cast<std::ptrdiff_t>(next_class_);
+      *k = fresh;
+      next_class_ = (next_class_ + 1) % kMaxStreamClasses;
+    }
+  }
+  k->ratios[k->next] = ratio;
+  k->next = (k->next + 1) % kClassWindow;
 }
 
 }  // namespace pmp2::serve

@@ -25,11 +25,34 @@
 // Capacity is expressed in the same load units. The AdmissionController
 // never blocks: decide() is pure bookkeeping under the caller's lock, and
 // the server maps kQueue to its FIFO wait list.
+//
+// The model's shape is fixed; its scale is host-dependent. The load is
+// the prior, and under the default capacity the controller calibrates
+// what each session is charged from measured cost (docs/SERVING.md):
+//
+//   - The server reports every cleanly decoded GOP's measured worker
+//     share. A running session's charge becomes an EWMA of its own
+//     shares in load units, over kTargetOccupancy.
+//   - A stream class is the header fields the model reads (size, frame
+//     rate, bit rate, VBV size). Each session's first observation records
+//     its measured / predicted ratio for its class. A newcomer is charged
+//     its prior times the highest ratio among its class's last
+//     kClassWindow sessions, over kTargetOccupancy, at most the prior.
+//
+// So a header that misstates its stream's cost misjudges only streams
+// that carry the same header, and one cheap session cannot lower its
+// class's charge while a recent one cost more. A class not yet observed,
+// and so an uncalibrated controller, decides exactly as the static model
+// does. An explicit Config::capacity is operator units and never
+// calibrates.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 namespace pmp2::serve {
 
@@ -42,6 +65,18 @@ inline constexpr int kVbvAmortPictures = 30;
 /// a 704x480@30 stream at 5 Mb/s (~39.6k mb/s at its coded density) with
 /// ~25% headroom. Hosts that know better pass an explicit capacity.
 inline constexpr double kDefaultWorkerCapacity = 50'000.0;
+/// EWMA weight of a session's newest measured GOP share.
+inline constexpr double kMeasuredShareAlpha = 0.3;
+/// Worker occupancy a measured charge budgets for: a session measured at
+/// one full worker is charged kDefaultWorkerCapacity / 0.8, keeping the
+/// prior's headroom for GOP cost variance and the producer and display
+/// threads that run outside the pool.
+inline constexpr double kTargetOccupancy = 0.8;
+/// Recent sessions of a stream class whose highest ratio a newcomer of
+/// that class is charged by.
+inline constexpr std::size_t kClassWindow = 8;
+/// Stream classes remembered; the oldest is forgotten first.
+inline constexpr std::size_t kMaxStreamClasses = 32;
 
 /// What the preamble scan learned about one stream.
 struct StreamLoadProfile {
@@ -68,11 +103,32 @@ struct StreamLoadProfile {
 
 enum class AdmissionDecision : std::uint8_t {
   kAdmit,   // capacity available: start now
-  kQueue,   // over capacity but queueable: wait for a session to finish
+  kQueue,   // over capacity but queueable: wait for capacity to free up
   kReject,  // invalid stream, or over capacity with queueing disabled/full
 };
 
 [[nodiscard]] std::string_view admission_decision_name(AdmissionDecision d);
+
+/// What one admitted session holds against capacity: the admission-time
+/// charge until the controller observes one of its GOPs, then its own
+/// measured share in load units. The server keeps one per session.
+struct AdmissionCharge {
+  AdmissionCharge() = default;
+  // Implicit on purpose: the charge of a stream at its prior.
+  AdmissionCharge(const StreamLoadProfile& p)  // NOLINT
+      : load(p.predicted_load) {}
+  double load = 0.0;            // load units counted in admitted_load
+  double measured_share = 0.0;  // EWMA of GOP worker shares (0: none yet)
+};
+
+/// A copy of one controller's state (DecodeServer::admission()).
+struct AdmissionSnapshot {
+  double capacity = 0.0;       // configured or default load units
+  double admitted_load = 0.0;  // running sessions' charges
+  int running = 0;
+  int queued = 0;
+  std::int64_t calibrated_gops = 0;  // GOP observations folded into charges
+};
 
 /// Capacity bookkeeping for one server. Not thread-safe by itself — the
 /// server calls it under its scheduling mutex.
@@ -91,21 +147,36 @@ class AdmissionController {
                       : kDefaultWorkerCapacity * (workers > 0 ? workers : 1)) {
   }
 
+  /// Folds one completed GOP of the admitted session with profile `p`
+  /// into its `charge` and, on the session's first observation, into its
+  /// stream class: `measured_share` is the GOP's decode CPU time over its
+  /// display time, in workers. Ignored under an explicit capacity and
+  /// when the share is not a positive finite number.
+  void observe(AdmissionCharge& charge, const StreamLoadProfile& p,
+               double measured_share);
+
+  /// What a session with profile `p` would be charged if admitted now:
+  /// the prior scaled by its class's highest recent ratio (header above).
+  [[nodiscard]] AdmissionCharge charge_for(const StreamLoadProfile& p) const;
+
   /// Decision for a new stream with profile `p`. Does not change state —
   /// the server commits with admit()/enqueue() after it acted on the
   /// decision.
   [[nodiscard]] AdmissionDecision decide(const StreamLoadProfile& p) const;
 
-  /// Commits an admitted session's load.
-  void admit(const StreamLoadProfile& p) {
-    admitted_load_ += p.predicted_load;
+  /// Commits an admitted session and returns what it is charged.
+  AdmissionCharge admit(const StreamLoadProfile& p) {
+    const AdmissionCharge c = charge_for(p);
+    admitted_load_ += c.load;
     ++running_;
+    return c;
   }
-  /// Releases a finished/cancelled session's load.
-  void release(const StreamLoadProfile& p) {
-    admitted_load_ -= p.predicted_load;
-    if (admitted_load_ < 0) admitted_load_ = 0;
+  /// Releases a finished/cancelled session's charge.
+  void release(const AdmissionCharge& c) {
+    admitted_load_ -= c.load;
     --running_;
+    // Mixed loads leave rounding residue; an empty server holds none.
+    if (admitted_load_ < 0 || running_ == 0) admitted_load_ = 0;
   }
   void enqueue() { ++queued_; }
   void dequeue() { --queued_; }
@@ -115,20 +186,41 @@ class AdmissionController {
     if (config_.max_sessions > 0 && running_ >= config_.max_sessions) {
       return false;
     }
-    return admitted_load_ + p.predicted_load <= capacity_;
+    return admitted_load_ + charge_for(p).load <= capacity_;
   }
 
-  [[nodiscard]] double capacity() const { return capacity_; }
-  [[nodiscard]] double admitted_load() const { return admitted_load_; }
   [[nodiscard]] int running() const { return running_; }
-  [[nodiscard]] int queued() const { return queued_; }
+  [[nodiscard]] AdmissionSnapshot snapshot() const {
+    return {capacity_, admitted_load_, running_, queued_, calibrated_gops_};
+  }
 
  private:
+  /// The last kClassWindow first-GOP ratios of one stream class.
+  struct StreamClass {
+    int width = 0;
+    int height = 0;
+    double frame_rate = 0.0;
+    std::int64_t bit_rate = 0;
+    std::int64_t vbv_bits = 0;
+    std::array<double, kClassWindow> ratios{};  // 0: slot unused
+    std::size_t next = 0;
+
+    [[nodiscard]] bool holds(const StreamLoadProfile& p) const {
+      return width == p.width && height == p.height &&
+             frame_rate == p.frame_rate && bit_rate == p.bit_rate &&
+             vbv_bits == p.vbv_bits;
+    }
+  };
+  void record_ratio(const StreamLoadProfile& p, double ratio);
+
   Config config_;
   double capacity_;
   double admitted_load_ = 0.0;
   int running_ = 0;
   int queued_ = 0;
+  std::int64_t calibrated_gops_ = 0;
+  std::vector<StreamClass> classes_;
+  std::size_t next_class_ = 0;  // replaced next once classes_ is full
 };
 
 }  // namespace pmp2::serve

@@ -93,6 +93,7 @@ struct Session {
   SessionId id = 0;
   SessionConfig cfg;
   StreamLoadProfile profile;
+  AdmissionCharge charge;  // what the session holds against capacity
   std::span<const std::uint8_t> stream;
   AdmissionDecision decision = AdmissionDecision::kReject;
   SessionState state = SessionState::kQueued;
@@ -248,7 +249,7 @@ struct Engine {
     sessions_.push_back(std::move(owned));
     switch (s.decision) {
       case AdmissionDecision::kAdmit:
-        admission_.admit(s.profile);
+        s.charge = admission_.admit(s.profile);
         start_session_locked(s);
         break;
       case AdmissionDecision::kQueue:
@@ -258,6 +259,7 @@ struct Engine {
       case AdmissionDecision::kReject:
         s.state = SessionState::kRejected;
         s.finish_ns = timer_.elapsed_ns();
+        s.result.finish_ns = s.finish_ns;
         s.result.state = s.state;
         s.result.profile = s.profile;
         s.result_ready = true;
@@ -391,6 +393,7 @@ struct Engine {
       s.cancel_requested = true;
       s.state = SessionState::kCancelled;
       s.finish_ns = timer_.elapsed_ns();
+      s.result.finish_ns = s.finish_ns;
       s.result.state = s.state;
       s.result.profile = s.profile;
       s.result.queued_s =
@@ -859,15 +862,17 @@ struct Engine {
     --s.in_flight;
   }
 
-  void finish_whole(const Claim& claim, std::int64_t task_ns, bool ok) {
+  void finish_whole(const Claim& claim, std::int64_t task_ns,
+                    parallel::GopOutcome outcome) {
     const std::scoped_lock lock(mutex_);
     Session& s = *claim.session;
     ++epoch_;
     settle_claim_locked(s, claim, task_ns);
-    if (!ok) {
+    if (!outcome.ok) {
       abort_session_locked(s);
     } else {
       ewma_.observe(task_ns, claim.gop->bytes);
+      if (!outcome.damaged) calibrate_locked(s, *claim.gop, task_ns);
       ++s.completed_gops;
     }
     cv_.notify_all();
@@ -892,6 +897,7 @@ struct Engine {
     if (++e.completed == static_cast<int>(e.info.pictures.size())) {
       if (e.damaged) s.quarantined.fetch_add(1, std::memory_order_relaxed);
       ewma_.observe(e.cost_ns, e.bytes);
+      if (!e.damaged) calibrate_locked(s, e, e.cost_ns);
       const auto it = std::find(s.active.begin(), s.active.end(),
                                 claim.entry);
       if (it != s.active.end()) s.active.erase(it);
@@ -899,6 +905,24 @@ struct Engine {
       ++s.completed_gops;
     }
     cv_.notify_all();
+  }
+
+  /// Feeds one cleanly decoded GOP's measured worker share (decode CPU
+  /// time over the GOP's display time) into its session's admission
+  /// charge and stream class, then re-checks the wait list: the session's
+  /// charge may have shrunk, and so may a queued newcomer's of its class.
+  /// Callers skip concealed GOPs: concealment is cheaper than decoding and
+  /// would bias the charge toward over-admission. GOPs of a cancelled,
+  /// aborted or hung session are skipped here, since their purged pictures
+  /// never decoded.
+  void calibrate_locked(Session& s, const GopEntry& e,
+                        std::int64_t cost_ns) {
+    if (s.cancel_requested || s.aborted || s.hung) return;
+    const double display_s =
+        static_cast<double>(e.info.pictures.size()) / s.profile.frame_rate;
+    admission_.observe(s.charge, s.profile,
+                       static_cast<double>(cost_ns) / 1e9 / display_s);
+    admit_from_wait_list_locked();
   }
 
   void abort_session_locked(Session& s) {
@@ -923,6 +947,8 @@ struct Engine {
     r.concealed_pictures = s.concealed_pics.load(std::memory_order_relaxed);
     r.quarantined_gops = s.quarantined.load(std::memory_order_relaxed);
     s.errors.drain(r.errors, r.errors_dropped);
+    r.start_ns = s.start_ns;
+    r.finish_ns = s.finish_ns;
     if (s.start_ns >= 0) {
       r.wall_s = static_cast<double>(s.finish_ns - s.start_ns) / 1e9;
       r.queued_s = static_cast<double>(s.start_ns - s.submit_ns) / 1e9;
@@ -953,7 +979,7 @@ struct Engine {
     // This session's load is free; maybe the wait list fits now.
     if (s.decision == AdmissionDecision::kAdmit ||
         s.decision == AdmissionDecision::kQueue) {
-      admission_.release(s.profile);
+      admission_.release(s.charge);
     }
     admit_from_wait_list_locked();
     ++epoch_;
@@ -971,7 +997,7 @@ struct Engine {
       }
       wait_list_.pop_front();
       admission_.dequeue();
-      admission_.admit(next->profile);
+      next->charge = admission_.admit(next->profile);
       start_session_locked(*next);
     }
   }
@@ -1008,16 +1034,16 @@ struct Engine {
         const GopEntry& e = *claim.gop;
         const parallel::GopTask task{&e.info, e.index, e.display_base,
                                      e.display_base};
-        const bool ok = parallel::decode_gop(s.stream, s.structure, task,
-                                             *s.pool, *s.display, stats,
-                                             s.gobs, w);
+        const parallel::GopOutcome outcome =
+            parallel::decode_gop(s.stream, s.structure, task, *s.pool,
+                                 *s.display, stats, s.gobs, w);
         const std::int64_t task_ns = cpu.elapsed_ns();
         if (tracer) {
           tracer->emit(w, obs::SpanKind::kGopTask, task_begin,
                        tracer->now_ns(), -1, -1, e.index);
         }
         note_task(stats, s, w, task_ns, prof.get());
-        finish_whole(claim, task_ns, ok);
+        finish_whole(claim, task_ns, outcome);
       } else {
         const GopEntry& e = *claim.gop;
         const auto& info =
@@ -1147,8 +1173,9 @@ parallel::WorkerLoadSummary DecodeServer::load_summary() const {
   return impl_->load_summary();
 }
 
-const AdmissionController& DecodeServer::admission() const {
-  return impl_->admission_;
+AdmissionSnapshot DecodeServer::admission() const {
+  const std::scoped_lock lock(impl_->mutex_);
+  return impl_->admission_.snapshot();
 }
 
 int DecodeServer::workers() const { return impl_->config_.workers; }

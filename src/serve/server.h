@@ -17,7 +17,9 @@
 //     the queue-inclusive frame-latency histogram).
 //
 // Shared across sessions: the worker pool, the admission controller
-// (bitrate/VBV predicted-load bookkeeping, serve/admission.h), the
+// (bitrate/VBV predicted-load bookkeeping whose charges against the
+// default capacity calibrate online from completed-GOP CPU time,
+// serve/admission.h), the
 // sched::pick_session fairness policy (weighted min-service), and the
 // PR 9 adaptive dispatcher — should_explode() sees the queue depth summed
 // over *all* sessions and one cross-session CostEwma, so a shallow global
@@ -110,6 +112,10 @@ struct SessionResult {
   int pictures_delivered = 0;  // emitted in display order
   double wall_s = 0.0;         // running time (admission to terminal)
   double queued_s = 0.0;       // time spent waiting for admission
+  // Server-clock instants (ns since the server started) of admission and
+  // of the terminal state; start_ns is -1 for a session that never ran.
+  std::int64_t start_ns = -1;
+  std::int64_t finish_ns = -1;
   int concealed_slices = 0;
   int concealed_pictures = 0;
   int quarantined_gops = 0;
@@ -192,7 +198,9 @@ class DecodeServer {
   /// Pool-wide load summary over the shared workers (busy/sync/idle).
   [[nodiscard]] parallel::WorkerLoadSummary load_summary() const;
 
-  [[nodiscard]] const AdmissionController& admission() const;
+  /// Admission state, copied under the scheduling mutex (worker threads
+  /// update the calibration on every completed GOP).
+  [[nodiscard]] AdmissionSnapshot admission() const;
   [[nodiscard]] int workers() const;
 
  private:

@@ -445,6 +445,24 @@ TEST(Report, SerializesValidDeterministicJson) {
   EXPECT_EQ(doc.back(), '\n');
 }
 
+TEST(Report, WritesNamedObjectsAfterRows) {
+  obs::RunReport report("test_tool", "desc");
+  report.add_row().set("name", "a");
+  std::ostringstream bare;
+  report.write_json(bare);
+  report.add_object("admission").set("calibrated_gops", 3).set("scale", 0.5);
+  std::ostringstream with_object;
+  report.write_json(with_object);
+  const std::string doc = with_object.str();
+  EXPECT_TRUE(json_valid(doc)) << doc;
+  EXPECT_EQ(bare.str().find("admission"), std::string::npos);
+  EXPECT_NE(doc.find("\"rows\":[{\"name\":\"a\"}],"
+                     "\"admission\":{\"calibrated_gops\":3,"
+                     "\"scale\":0.5}"),
+            std::string::npos)
+      << doc;
+}
+
 // --- Real decoder integration --------------------------------------------
 
 streamgen::StreamSpec small_spec() {

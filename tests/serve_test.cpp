@@ -1,7 +1,7 @@
 // Multi-stream DecodeServer tests (docs/SERVING.md): the admission load
-// model's deterministic arithmetic, reject-vs-queue decisions, the
-// weighted min-service fairness policy and its virtual-time validation,
-// and the server itself — solo-equivalent checksums, session isolation
+// model's deterministic arithmetic, reject-vs-queue decisions, the online
+// capacity calibration, the weighted min-service fairness policy and its
+// virtual-time validation, and the server itself — solo-equivalent checksums, session isolation
 // under injected faults, bounded-queue backpressure, teardown frame-pool
 // leak proofs, and concurrent open/decode/cancel/teardown lifecycles (the
 // *Lifecycle* suites also run under TSan via scripts/ci.sh).
@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "inject/fault.h"
@@ -24,8 +26,10 @@
 namespace pmp2 {
 namespace {
 
+using serve::AdmissionCharge;
 using serve::AdmissionController;
 using serve::AdmissionDecision;
+using serve::AdmissionSnapshot;
 using serve::DecodeServer;
 using serve::ServerConfig;
 using serve::SessionConfig;
@@ -35,13 +39,15 @@ using serve::StreamLoadProfile;
 
 std::vector<std::uint8_t> make_stream(int width, int height, int gop_size,
                                       int pictures,
-                                      std::int64_t bit_rate = 1'500'000) {
+                                      std::int64_t bit_rate = 1'500'000,
+                                      bool rate_control = true) {
   streamgen::StreamSpec spec;
   spec.width = width;
   spec.height = height;
   spec.gop_size = gop_size;
   spec.pictures = pictures;
   spec.bit_rate = bit_rate;
+  spec.rate_control = rate_control;
   return streamgen::generate_stream(spec);
 }
 
@@ -161,6 +167,173 @@ TEST(Admission, MaxSessionsCapsConcurrency) {
   EXPECT_EQ(ctl.decide(tiny), AdmissionDecision::kAdmit);
   ctl.admit(tiny);
   EXPECT_EQ(ctl.decide(tiny), AdmissionDecision::kReject);
+}
+
+// ---------------------------------------------------------------------------
+// Online calibration of the default capacity (per-session charges).
+
+TEST(Admission, UncalibratedDecidesAsStaticModel) {
+  // Before any observation the default capacity is workers x
+  // kDefaultWorkerCapacity exactly, and decisions match a controller pinned
+  // to that capacity, step for step.
+  AdmissionController::Config config;
+  config.max_queued = 1;
+  AdmissionController calibratable(config, 4);
+  config.capacity = 4 * serve::kDefaultWorkerCapacity;
+  AdmissionController pinned(config, 4);
+  const AdmissionSnapshot snap = calibratable.snapshot();
+  EXPECT_EQ(snap.capacity, 4 * serve::kDefaultWorkerCapacity);
+  EXPECT_EQ(snap.calibrated_gops, 0);
+  for (const double load : {150'000.0, 50'000.0, 1.0, 60'000.0, 1.0}) {
+    const auto p = profile_with_load(load);
+    const AdmissionDecision d = calibratable.decide(p);
+    EXPECT_EQ(d, pinned.decide(p)) << "load " << load;
+    if (d == AdmissionDecision::kAdmit) {
+      calibratable.admit(p);
+      pinned.admit(p);
+    } else if (d == AdmissionDecision::kQueue) {
+      calibratable.enqueue();
+      pinned.enqueue();
+    }
+  }
+  // 150k + 50k filled the 200k exactly; the rest queued, then bounced.
+  EXPECT_EQ(calibratable.snapshot().admitted_load, 200'000.0);
+  EXPECT_EQ(calibratable.snapshot().queued, 1);
+}
+
+TEST(Admission, ChargeFollowsMeasuredShare) {
+  AdmissionController::Config config;
+  config.max_queued = 4;
+  AdmissionController ctl(config, 2);  // 100k default capacity
+  const auto p60k = profile_with_load(60'000.0);
+  AdmissionCharge charge = ctl.admit(p60k);
+  EXPECT_EQ(charge.load, 60'000.0);
+  EXPECT_EQ(ctl.decide(profile_with_load(50'000.0)),
+            AdmissionDecision::kQueue);
+  // The first observation replaces the prior: a GOP that used half a
+  // worker is charged half a worker at kTargetOccupancy.
+  ctl.observe(charge, p60k, 0.5);
+  const double half_worker =
+      0.5 * serve::kDefaultWorkerCapacity / serve::kTargetOccupancy;
+  EXPECT_DOUBLE_EQ(charge.load, half_worker);
+  AdmissionSnapshot snap = ctl.snapshot();
+  EXPECT_DOUBLE_EQ(snap.admitted_load, half_worker);
+  EXPECT_EQ(snap.capacity, 100'000.0);  // the configured units never move
+  EXPECT_EQ(snap.calibrated_gops, 1);
+  EXPECT_EQ(ctl.decide(profile_with_load(50'000.0)),
+            AdmissionDecision::kAdmit);
+  // Later observations blend in with weight kMeasuredShareAlpha.
+  ctl.observe(charge, p60k, 1.0);
+  EXPECT_DOUBLE_EQ(charge.measured_share,
+                   (1.0 - serve::kMeasuredShareAlpha) * 0.5 +
+                       serve::kMeasuredShareAlpha * 1.0);
+  // A session measured at 80% of both workers holds the whole capacity:
+  // the occupancy target keeps the last 20% free.
+  for (int i = 0; i < 64; ++i) ctl.observe(charge, p60k, 1.6);
+  snap = ctl.snapshot();
+  EXPECT_NEAR(snap.admitted_load, 100'000.0, 1e-3);
+  EXPECT_EQ(snap.calibrated_gops, 66);
+  EXPECT_EQ(ctl.decide(profile_with_load(10.0)), AdmissionDecision::kQueue);
+  ctl.release(charge);
+  EXPECT_EQ(ctl.snapshot().admitted_load, 0.0);
+  EXPECT_EQ(ctl.snapshot().running, 0);
+}
+
+// A stream class with a distinct header (bit rate) per `rate`.
+StreamLoadProfile class_profile(std::int64_t rate, double load) {
+  StreamLoadProfile p = profile_with_load(load);
+  p.width = 1408;
+  p.height = 960;
+  p.frame_rate = 30.0;
+  p.bit_rate = rate;
+  return p;
+}
+
+TEST(Admission, NewcomerIsChargedByItsClassMostExpensiveRecentSession) {
+  AdmissionController ctl({}, 4);  // 200k default capacity
+  const auto hd = class_profile(7'000'000, 100'000.0);
+  const double predicted_share = 100'000.0 / serve::kDefaultWorkerCapacity;
+  // Each session's first observation records its measured / predicted
+  // ratio for its class; later ones only move its own charge.
+  for (const double ratio : {0.1, 0.4, 0.2}) {
+    AdmissionCharge c = ctl.admit(hd);
+    ctl.observe(c, hd, ratio * predicted_share);
+    ctl.observe(c, hd, 4.0);
+    ctl.release(c);
+  }
+  EXPECT_DOUBLE_EQ(ctl.charge_for(hd).load,
+                   100'000.0 * 0.4 / serve::kTargetOccupancy);
+  // Another class, or the same size at another bit rate, pays its prior.
+  EXPECT_EQ(ctl.charge_for(class_profile(5'000'000, 90'000.0)).load,
+            90'000.0);
+  // The expensive session ages out after kClassWindow newer ones.
+  for (std::size_t i = 0; i < serve::kClassWindow; ++i) {
+    AdmissionCharge c = ctl.admit(hd);
+    ctl.observe(c, hd, 0.1 * predicted_share);
+    ctl.release(c);
+  }
+  EXPECT_DOUBLE_EQ(ctl.charge_for(hd).load,
+                   100'000.0 * 0.1 / serve::kTargetOccupancy);
+  EXPECT_EQ(ctl.decide(hd), AdmissionDecision::kAdmit);
+  // A class the model under-predicts is never charged above its prior.
+  AdmissionCharge c = ctl.admit(hd);
+  ctl.observe(c, hd, 2.0 * predicted_share);
+  EXPECT_EQ(ctl.charge_for(hd).load, 100'000.0);
+}
+
+TEST(Admission, MisstatedHeaderChargesOnlyItsOwnClass) {
+  // A header that overstates its bit rate makes its own session cheap to
+  // hold, and later sessions with the same header; never other streams.
+  AdmissionController::Config config;
+  config.max_queued = 4;
+  AdmissionController ctl(config, 2);  // 100k default capacity
+  const auto overstated = class_profile(80'000'000, 90'000.0);
+  AdmissionCharge held = ctl.admit(overstated);
+  const auto hd = class_profile(7'000'000, 60'000.0);
+  EXPECT_EQ(ctl.decide(hd), AdmissionDecision::kQueue);
+  ctl.observe(held, overstated, 0.01);
+  EXPECT_EQ(ctl.decide(hd), AdmissionDecision::kAdmit);
+  ctl.admit(hd);
+  // 625 + 60k + 60k > 100k: the second HD newcomer still waits.
+  EXPECT_EQ(ctl.decide(hd), AdmissionDecision::kQueue);
+  EXPECT_DOUBLE_EQ(ctl.snapshot().admitted_load,
+                   60'000.0 + 0.01 * serve::kDefaultWorkerCapacity /
+                                  serve::kTargetOccupancy);
+  EXPECT_LT(ctl.charge_for(overstated).load, 1'000.0);
+}
+
+TEST(Admission, ExplicitCapacityNeverCalibrates) {
+  AdmissionController::Config config;
+  config.capacity = 100.0;
+  AdmissionController ctl(config, 4);
+  const auto p = class_profile(7'000'000, 60.0);
+  AdmissionCharge charge = ctl.admit(p);
+  ctl.observe(charge, p, 0.1);
+  EXPECT_EQ(charge.load, 60.0);
+  EXPECT_EQ(charge.measured_share, 0.0);
+  EXPECT_EQ(ctl.charge_for(p).load, 60.0);
+  const AdmissionSnapshot snap = ctl.snapshot();
+  EXPECT_EQ(snap.admitted_load, 60.0);
+  EXPECT_EQ(snap.calibrated_gops, 0);
+}
+
+TEST(Admission, IgnoresZeroAndDamagedObservations) {
+  // What an empty GOP (no display time), an unmeasured task (no CPU time)
+  // or a zero frame rate would report.
+  AdmissionController ctl({}, 4);
+  const auto p = class_profile(7'000'000, 60'000.0);
+  AdmissionCharge charge = ctl.admit(p);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double share : {0.0, -0.0, -1.0, inf, -inf, nan}) {
+    ctl.observe(charge, p, share);
+  }
+  EXPECT_EQ(charge.load, 60'000.0);
+  EXPECT_EQ(charge.measured_share, 0.0);
+  EXPECT_EQ(ctl.charge_for(p).load, 60'000.0);
+  const AdmissionSnapshot snap = ctl.snapshot();
+  EXPECT_EQ(snap.calibrated_gops, 0);
+  EXPECT_EQ(snap.admitted_load, 60'000.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,6 +648,133 @@ TEST(Server, ForgetRefusesNonTerminalSessions) {
   EXPECT_TRUE(server.wait(running).ok);
   EXPECT_TRUE(server.wait(waiting).ok);
   EXPECT_TRUE(server.forget(waiting));
+}
+
+TEST(Server, CalibratedCapacityStartsQueuedSessionsEarly) {
+  // The header claims 80 Mb/s, so the static model predicts more than half
+  // the 2-worker default capacity and the second and third sessions queue.
+  // Each session's clean GOPs replace its prior with its measured share,
+  // and the waiting sessions start then instead of when one finishes.
+  const auto stream = make_stream(176, 120, 4, 48, 80'000'000, false);
+  const auto p = serve::characterize_stream(stream);
+  ASSERT_TRUE(p.valid);
+  ServerConfig config;
+  config.workers = 2;
+  config.admission.max_queued = 4;
+  config.watchdog_ns = 30'000'000'000;
+  ASSERT_GT(2 * p.predicted_load,
+            config.workers * serve::kDefaultWorkerCapacity);
+  const std::uint64_t expected = solo_checksum(stream);
+  DecodeServer server(config);
+  std::vector<serve::SessionId> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(server.submit(stream, {}));
+  EXPECT_EQ(server.decision(ids[0]), AdmissionDecision::kAdmit);
+  EXPECT_EQ(server.decision(ids[1]), AdmissionDecision::kQueue);
+  EXPECT_EQ(server.decision(ids[2]), AdmissionDecision::kQueue);
+  std::vector<SessionResult> results;
+  for (const auto id : ids) results.push_back(server.wait(id));
+  for (const SessionResult& r : results) {
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.checksum, expected);
+    EXPECT_EQ(r.pool_idle, r.pool_misses);
+  }
+  // Uncalibrated, a waiting session starts only when a running one
+  // finalizes. Calibrated, the first session's first clean GOP shrinks its
+  // charge and the second starts; the second's first GOP starts the third.
+  EXPECT_LT(results[1].start_ns, results[0].finish_ns);
+  EXPECT_LT(results[2].start_ns, results[1].finish_ns);
+  const AdmissionSnapshot snap = server.admission();
+  EXPECT_GT(snap.calibrated_gops, 0);
+  EXPECT_EQ(snap.running, 0);
+  EXPECT_EQ(snap.queued, 0);
+  EXPECT_EQ(snap.admitted_load, 0.0);
+}
+
+TEST(Server, MisstatedHeaderDoesNotRechargeOtherSessions) {
+  // A stream whose header overstates its bit rate decodes far cheaper than
+  // its prior, so its own charge and its class's shrink. That measurement
+  // must not carry over to other headers: two reference-rate SD sessions
+  // whose priors do not fit together still run one after the other, as
+  // they do with no calibration at all. Their only GOP is damaged, so
+  // neither calibrates itself or their class.
+  ServerConfig config;
+  config.workers = 1;  // kDefaultWorkerCapacity
+  config.admission.max_queued = 4;
+  config.watchdog_ns = 30'000'000'000;
+  DecodeServer server(config);
+  const auto overstated = make_stream(176, 120, 4, 48, 80'000'000, false);
+  ASSERT_TRUE(server.wait(server.submit(overstated, {})).ok);
+  ASSERT_GT(server.admission().calibrated_gops, 0);
+
+  const auto sd = inject::apply_fault(
+      make_stream(704, 480, 6, 6, 5'000'000),
+      inject::FaultSpec{inject::FaultKind::kDropSlice, 3, 1});
+  const StreamLoadProfile p = serve::characterize_stream(sd);
+  ASSERT_LE(p.predicted_load, serve::kDefaultWorkerCapacity);
+  ASSERT_GT(2 * p.predicted_load, serve::kDefaultWorkerCapacity);
+  const auto first = server.submit(sd, {});
+  const auto second = server.submit(sd, {});
+  const SessionResult a = server.wait(first);
+  const SessionResult b = server.wait(second);
+  ASSERT_EQ(a.quarantined_gops, 1) << "the fault concealed nothing";
+  EXPECT_EQ(a.state, SessionState::kFinished);
+  EXPECT_EQ(b.state, SessionState::kFinished);
+  EXPECT_GE(b.start_ns, a.finish_ns);
+}
+
+TEST(Server, ConcealedGopsDoNotCalibrate) {
+  // Every GOP of a lone quarantine session completes exactly once, either
+  // clean (one calibration observation) or damaged (quarantined, skipped).
+  const auto clean = make_stream(176, 120, 4, 16);
+  const auto stream = inject::apply_fault(
+      clean, inject::FaultSpec{inject::FaultKind::kDropSlice, 3, 1});
+  ServerConfig config;
+  config.workers = 2;
+  config.watchdog_ns = 30'000'000'000;
+  DecodeServer server(config);
+  const SessionResult r = server.wait(server.submit(stream, {}));
+  ASSERT_EQ(r.state, SessionState::kFinished);
+  ASSERT_GT(r.quarantined_gops, 0) << "the fault concealed nothing";
+  EXPECT_EQ(server.admission().calibrated_gops,
+            r.pictures / 4 - r.quarantined_gops);
+}
+
+TEST(Server, AdmissionSnapshotIsSafeWhileSessionsDecode) {
+  // Worker threads write the calibration on every GOP completion; a
+  // client thread reads admission() concurrently (the TSan stage runs
+  // this) and always sees a consistent copy.
+  const auto stream = make_stream(176, 120, 4, 32);
+  ServerConfig config;
+  config.workers = 4;
+  config.admission.max_queued = 8;
+  config.watchdog_ns = 30'000'000'000;
+  DecodeServer server(config);
+  std::atomic<bool> done{false};
+  std::int64_t reads = 0;
+  std::thread reader([&] {
+    std::int64_t last_gops = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const AdmissionSnapshot snap = server.admission();
+      EXPECT_GE(snap.admitted_load, 0.0);
+      EXPECT_GE(snap.calibrated_gops, last_gops);
+      EXPECT_GE(snap.running, 0);
+      EXPECT_GE(snap.queued, 0);
+      EXPECT_LE(snap.running + snap.queued, 6);
+      last_gops = snap.calibrated_gops;
+      ++reads;
+    }
+  });
+  std::vector<serve::SessionId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(server.submit(stream, {}));
+  for (const auto id : ids) EXPECT_TRUE(server.wait(id).ok);
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(reads, 0);
+  const AdmissionSnapshot snap = server.admission();
+  EXPECT_EQ(snap.calibrated_gops, 6 * 8);
+  EXPECT_EQ(snap.running, 0);
+  EXPECT_EQ(snap.queued, 0);
+  EXPECT_EQ(snap.admitted_load, 0.0);
 }
 
 TEST(Server, DestructorDrainsCleanly) {

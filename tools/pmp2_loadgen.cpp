@@ -4,8 +4,10 @@
 // configurable session count and arrival pattern, optionally corrupting
 // chosen sessions with the deterministic fault injector (src/inject), and
 // emits a pmp2-bench-report/1 with aggregate and per-session p50/p95/p99
-// queue-inclusive frame latency and pictures/sec. This is the serve CI
-// stage's harness: the process exits nonzero on any hang, admission
+// queue-inclusive frame latency and pictures/sec, plus an "admission"
+// object with the server's final admission state (capacity, admitted
+// load, calibrated GOP count). This is the serve CI stage's
+// harness: the process exits nonzero on any hang, admission
 // anomaly, frame-pool leak, or — with --verify-isolation — any clean
 // session whose checksum differs from a solo (single-session) run of the
 // same stream, which is the byte-exactness half of session isolation.
@@ -238,6 +240,7 @@ int main(int argc, char** argv) {
   for (auto& p : plans) p.result = server.wait(p.id);
   const double wall_s = wall.elapsed_s();
   const parallel::WorkerLoadSummary load = server.load_summary();
+  const serve::AdmissionSnapshot admission = server.admission();
 
   // Violation checks.
   int violations = 0;
@@ -289,6 +292,12 @@ int main(int argc, char** argv) {
   report.set_meta("latency_p99_ms", aggregate_latency.percentile(0.99) / 1e6);
   report.set_meta("pool_utilization", load.utilization);
   bench::set_kernel_identity(report);
+  report.add_object("admission")
+      .set("capacity", admission.capacity)
+      .set("calibrated_gops", admission.calibrated_gops)
+      .set("admitted_load", admission.admitted_load)
+      .set("running", admission.running)
+      .set("queued", admission.queued);
 
   std::printf("\n%-40s %-9s %8s %8s %9s %9s %9s\n", "session", "state",
               "pics", "pics/s", "p50 ms", "p95 ms", "p99 ms");
@@ -328,6 +337,9 @@ int main(int argc, char** argv) {
               sessions, wall_s,
               wall_s > 0 ? pictures_total / wall_s : 0.0,
               load.utilization, violations);
+  std::printf("admission: capacity %.0f, %lld GOPs calibrated\n",
+              admission.capacity,
+              static_cast<long long>(admission.calibrated_gops));
 
   const int finish_rc = bench::finish(flags, report);
   if (finish_rc != 0) return finish_rc;
