@@ -1,6 +1,6 @@
 // Supporting micro-benchmarks (google-benchmark): throughput of the decode
 // kernels the paper's costs decompose into — IDCT, VLC block decode, motion
-// compensation, SAD — plus startcode scanning.
+// compensation, SAD — plus startcode scanning and the output digest.
 //
 // The *_Ref / optimized pairs measure the hot-path kernel rewrites against
 // the reference implementations they replaced (sparsity-aware IDCT vs the
@@ -33,6 +33,7 @@
 #include "mpeg2/vlc_tables.h"
 #include "obs/prof/counters.h"
 #include "obs/report.h"
+#include "parallel/stats.h"
 #include "streamgen/scene.h"
 #include "streamgen/stream_factory.h"
 #include "util/rng.h"
@@ -222,6 +223,29 @@ void BM_DecodePicture(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 13);
 }
 BENCHMARK(BM_DecodePicture)->Unit(benchmark::kMillisecond);
+
+/// The display-order output digest over one 1408x960 frame: the per-frame
+/// hash every decoded picture pays on its decoding worker.
+void BM_FrameDigest(benchmark::State& state) {
+  Frame frame(1408, 960);
+  Rng rng(9);
+  for (int p = 0; p < 3; ++p) {
+    const int rows = p == 0 ? frame.coded_height() : frame.coded_height() / 2;
+    for (int i = 0; i < rows * frame.stride(p); ++i) {
+      frame.plane(p)[i] = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+  }
+  const std::int64_t display_bytes =
+      static_cast<std::int64_t>(frame.width()) * frame.height() +
+      2 * static_cast<std::int64_t>((frame.width() + 1) / 2) *
+          ((frame.height() + 1) / 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(parallel::frame_digest(frame));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          display_bytes);
+}
+BENCHMARK(BM_FrameDigest)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Before/after kernel pairs

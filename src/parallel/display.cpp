@@ -7,15 +7,17 @@
 namespace pmp2::parallel {
 
 void DisplaySink::push(mpeg2::FramePtr frame) {
+  const std::uint64_t digest = frame_digest(*frame);
+  const int index = frame->display_index;
   std::unique_lock lock(mutex_);
-  pending_.emplace(frame->display_index, std::move(frame));
+  pending_.emplace(index, Pending{std::move(frame), digest});
   max_buffered_ = std::max(max_buffered_, pending_.size());
   if (emitting_) return;  // the active emitter will drain what we added
   emitting_ = true;
   while (!pending_.empty() && pending_.begin()->first == next_) {
-    mpeg2::FramePtr f = std::move(pending_.begin()->second);
+    mpeg2::FramePtr f = std::move(pending_.begin()->second.frame);
+    checksum_ = chain_digest(checksum_, pending_.begin()->second.digest);
     pending_.erase(pending_.begin());
-    checksum_ = chain_frame_checksum(checksum_, *f);
     ++next_;
     if (live_) {
       // mutex_ serializes every writer of the display cell, satisfying

@@ -24,6 +24,7 @@ using FrameCallback = std::function<void(mpeg2::FramePtr)>;
 class DisplaySink {
  public:
   /// `on_frame` may be empty; frames are then just checksummed + released.
+  /// It runs on whichever pushing thread is emitting, without the lock.
   DisplaySink(int total_pictures, FrameCallback on_frame)
       : total_(total_pictures),
         total_known_(true),
@@ -39,9 +40,12 @@ class DisplaySink {
   void set_total(int total_pictures);
 
   /// Thread-safe: inserts a completed picture (display_index must be set)
-  /// and emits every picture that is now next in display order. Emission
-  /// happens on the calling thread while holding no lock on the reorder
-  /// map's entries beyond removal.
+  /// and emits every picture that is now next in display order. The
+  /// caller computes the frame's frame_digest() before taking the lock,
+  /// so hashing runs in parallel on the decoding workers and the emitter
+  /// only chains one stored value per picture. The frame must not be
+  /// written after it is pushed. Emission happens on the calling thread
+  /// while holding no lock on the reorder map's entries beyond removal.
   void push(mpeg2::FramePtr frame);
 
   /// Blocks until all pictures have been emitted.
@@ -72,7 +76,11 @@ class DisplaySink {
   FrameCallback on_frame_;
   std::mutex mutex_;
   std::condition_variable done_cv_;
-  std::map<int, mpeg2::FramePtr> pending_;  // guarded by mutex_
+  struct Pending {
+    mpeg2::FramePtr frame;
+    std::uint64_t digest = 0;  // frame_digest(*frame), taken by the pusher
+  };
+  std::map<int, Pending> pending_;          // guarded by mutex_
   int next_ = 0;                            // guarded by mutex_
   bool emitting_ = false;                   // guarded by mutex_
   std::uint64_t checksum_ = 0;              // guarded by mutex_

@@ -1,6 +1,8 @@
 #include "parallel/stats.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <sstream>
 
 #include "mpeg2/frame.h"
@@ -93,23 +95,55 @@ void derive_idle(RunResult& result) {
   }
 }
 
-std::uint64_t chain_frame_checksum(std::uint64_t digest,
-                                   const mpeg2::Frame& frame) {
-  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
-  auto mix = [&](std::uint8_t byte) {
-    digest ^= byte;
-    digest *= kPrime;
-  };
+namespace {
+
+constexpr std::uint64_t kPrime = 0x100000001B3ULL;  // odd: *kPrime is a bijection
+constexpr int kLanes = 4;
+constexpr int kBlockBytes = kLanes * 8;
+
+// Bijective in `lane` for a fixed word and in `word` for a fixed lane.
+std::uint64_t step(std::uint64_t lane, std::uint64_t word) {
+  return std::rotl((lane ^ word) * kPrime, 31);
+}
+
+}  // namespace
+
+std::uint64_t frame_digest(const mpeg2::Frame& frame) {
+  std::uint64_t lanes[kLanes] = {0x243F6A8885A308D3ULL, 0x13198A2E03707344ULL,
+                                 0xA4093822299F31D0ULL, 0x082EFA98EC4E6C89ULL};
   for (int p = 0; p < 3; ++p) {
-    const int w = p == 0 ? frame.width() : frame.width() / 2;
-    const int h = p == 0 ? frame.height() : frame.height() / 2;
+    const int w = p == 0 ? frame.width() : (frame.width() + 1) / 2;
+    const int h = p == 0 ? frame.height() : (frame.height() + 1) / 2;
     const int stride = frame.stride(p);
-    const std::uint8_t* pl = frame.plane(p);
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) mix(pl[y * stride + x]);
+    const int body = w / kBlockBytes * kBlockBytes;
+    const std::uint8_t* row = frame.plane(p);
+    for (int y = 0; y < h; ++y, row += stride) {
+      std::uint64_t words[kLanes];
+      for (int x = 0; x < body; x += kBlockBytes) {
+        std::memcpy(words, row + x, kBlockBytes);
+        for (int l = 0; l < kLanes; ++l) lanes[l] = step(lanes[l], words[l]);
+      }
+      if (body < w) {
+        // Zero-filled tail: for a fixed width the map from tail bytes to
+        // words is injective, so the tail keeps the single-byte guarantee.
+        std::memset(words, 0, sizeof words);
+        std::memcpy(words, row + body, static_cast<std::size_t>(w - body));
+        for (int l = 0; l < kLanes; ++l) lanes[l] = step(lanes[l], words[l]);
+      }
     }
   }
+  std::uint64_t digest = lanes[0];
+  for (int l = 1; l < kLanes; ++l) digest = step(digest, lanes[l]);
   return digest;
+}
+
+std::uint64_t chain_digest(std::uint64_t digest, std::uint64_t frame_value) {
+  return step(digest, frame_value);
+}
+
+std::uint64_t chain_frame_checksum(std::uint64_t digest,
+                                   const mpeg2::Frame& frame) {
+  return chain_digest(digest, frame_digest(frame));
 }
 
 }  // namespace pmp2::parallel

@@ -173,8 +173,24 @@ struct WorkerLoadSummary {
 /// decoders after joining their workers.
 void derive_idle(RunResult& result);
 
-/// Order-sensitive FNV-1a over a frame's display-area pels, chained with a
-/// running digest. Every decoder variant must produce the same final value.
+/// 64-bit digest of one frame's display-area pels: the luma plane and both
+/// (width+1)/2 x (height+1)/2 chroma planes, read eight bytes at a time
+/// into four independent lanes. Every lane step is a bijection of the
+/// lane for a fixed word and of the word for a fixed lane, and the lanes
+/// are folded together by the same step, so changing any single display
+/// byte always changes the digest. Padding beyond the display area is
+/// never read.
+[[nodiscard]] std::uint64_t frame_digest(const mpeg2::Frame& frame);
+
+/// Appends `frame_value`, one frame_digest(), to a running display-order
+/// digest. A bijection in both arguments, so the chain is order-sensitive
+/// and any changed frame changes every later value.
+[[nodiscard]] std::uint64_t chain_digest(std::uint64_t digest,
+                                         std::uint64_t frame_value);
+
+/// chain_digest(digest, frame_digest(frame)): the output digest every
+/// decoder variant must reproduce. DisplaySink computes the same chain
+/// with frame_digest() taken on the pushing thread.
 [[nodiscard]] std::uint64_t chain_frame_checksum(std::uint64_t digest,
                                                  const mpeg2::Frame& frame);
 

@@ -109,6 +109,86 @@ TEST(DisplaySink, ConcurrentPushers) {
   sink.wait_done();
   EXPECT_EQ(emitted.load(), 64);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  // Pushers hash off the lock; the chain must still match the sequential
+  // oracle folded in display order.
+  std::uint64_t want = 0;
+  for (int i = 0; i < 64; ++i) {
+    want = chain_frame_checksum(want,
+                                *make_frame(i, static_cast<std::uint8_t>(i)));
+  }
+  EXPECT_EQ(sink.checksum(), want);
+}
+
+// --- frame_digest -------------------------------------------------------------
+
+// Fills every byte of every plane, padding included, with pseudo-random pels.
+mpeg2::FramePtr make_noise_frame(int width, int height) {
+  auto f = std::make_shared<mpeg2::Frame>(width, height);
+  std::uint32_t state = 12345;
+  for (int p = 0; p < 3; ++p) {
+    const int rows = p == 0 ? f->coded_height() : f->coded_height() / 2;
+    const int bytes = rows * f->stride(p);
+    for (int i = 0; i < bytes; ++i) {
+      state = state * 1664525u + 1013904223u;
+      f->plane(p)[i] = static_cast<std::uint8_t>(state >> 24);
+    }
+  }
+  return f;
+}
+
+struct Pel {
+  int plane, x, y;
+};
+
+TEST(FrameDigest, EveryDisplayByteMatters) {
+  struct Case {
+    int width, height;
+    std::vector<Pel> pels;
+  };
+  const std::vector<Case> cases = {
+      // First and last display byte of each plane.
+      {176, 120,
+       {{0, 0, 0}, {0, 175, 119}, {1, 0, 0}, {1, 87, 59}, {2, 0, 0},
+        {2, 87, 59}}},
+      // Row tails: 200 = 6 x 32 + 8 luma and 100 = 3 x 32 + 4 chroma bytes.
+      {200, 64, {{0, 192, 5}, {0, 199, 5}, {1, 96, 7}, {2, 99, 31}}},
+      // Odd display size: the last chroma column and row are display pels.
+      {177, 121, {{1, 88, 10}, {2, 88, 60}, {1, 40, 60}, {0, 176, 120}}},
+  };
+  for (const Case& c : cases) {
+    auto frame = make_noise_frame(c.width, c.height);
+    const std::uint64_t base = frame_digest(*frame);
+    for (const Pel& pel : c.pels) {
+      std::uint8_t& byte =
+          frame->plane(pel.plane)[pel.y * frame->stride(pel.plane) + pel.x];
+      byte ^= 0x01;
+      EXPECT_NE(frame_digest(*frame), base)
+          << c.width << "x" << c.height << " plane " << pel.plane << " ("
+          << pel.x << ", " << pel.y << ")";
+      byte ^= 0x01;
+    }
+    EXPECT_EQ(frame_digest(*frame), base);
+  }
+}
+
+TEST(FrameDigest, PaddingIsIgnored) {
+  auto frame = make_noise_frame(177, 121);
+  const std::uint64_t base = frame_digest(*frame);
+  for (int p = 0; p < 3; ++p) {
+    const int width = p == 0 ? 177 : 89;
+    const int height = p == 0 ? 121 : 61;
+    const int rows = p == 0 ? frame->coded_height() : frame->coded_height() / 2;
+    const int stride = frame->stride(p);
+    ASSERT_LT(width, stride);
+    ASSERT_LT(height, rows);
+    std::uint8_t* plane = frame->plane(p);
+    for (int y = 0; y < rows; ++y) {
+      for (int x = 0; x < stride; ++x) {
+        if (x >= width || y >= height) plane[y * stride + x] ^= 0xFF;
+      }
+    }
+  }
+  EXPECT_EQ(frame_digest(*frame), base);
 }
 
 // --- Parallel decoders vs sequential ----------------------------------------
