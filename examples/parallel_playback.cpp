@@ -161,7 +161,9 @@ int main(int argc, char** argv) {
     stream = generated;
   }
 
-  // Track `workers` is the scan process; tracks [0, workers) are workers.
+  // Tracks [0, workers) are workers. Track `workers` is the slice
+  // decoder's scan thread; the GOP decoder runs its scan tasks on the
+  // worker tracks, so this track stays empty for --trace-decoder=gop.
   std::unique_ptr<obs::Tracer> tracer;
   if (!trace_out.empty() || !journal_out.empty() || analyze_trace) {
     tracer = std::make_unique<obs::Tracer>(workers + 1);

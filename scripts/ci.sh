@@ -12,7 +12,7 @@
 #   scripts/ci.sh obs         # ctest -L obs
 #   scripts/ci.sh tsan        # TSan build of the parallel decoder + fault tests
 #   scripts/ci.sh ubsan       # UBSan build of the SWAR scanner fuzz tests
-#   scripts/ci.sh asan        # ASan build of decoder/concealment/fault tests
+#   scripts/ci.sh asan        # ASan build of decoder/concealment/fault + serve tests
 #   scripts/ci.sh soak        # pmp2_soak fault-injection fuzz (small budget)
 #   scripts/ci.sh serve       # DecodeServer gate: loadgen smoke + isolation soak
 #   scripts/ci.sh bench       # quick bench suite diffed vs BENCH_parallel.json
@@ -88,11 +88,13 @@ stage_tsan() {
   # (FIFO pops, whole-vs-exploded dispatch, exploded-picture reference
   # handoffs) under real contention, and
   # AdaptiveDecoder.FourWorkersBindProfilerSlotsConcurrently proves
-  # StageProfiler::bind race-free. The 16-stream checksum matrix is
+  # StageProfiler::bind race-free (four worker slots binding at once; the
+  # workers also run the scan tasks). The 16-stream checksum matrix is
   # stream-content coverage that tier-1 already runs and would dominate
   # this stage's wall time under TSan. test_serve's Server/ServerLifecycle
   # suites put the DecodeServer's session lifecycle (concurrent open,
-  # decode, cancel, teardown over one shared pool) under the same lens.
+  # scan and decode tasks, cancel, teardown over one shared pool; no
+  # session owns a thread) under the same lens.
   # Worker threads now also start wait-listed sessions: every clean GOP
   # completion updates the admission calibration and re-checks the wait
   # list, and Server.AdmissionSnapshotIsSafeWhileSessionsDecode reads that
@@ -138,13 +140,18 @@ stage_ubsan() {
 stage_asan() {
   # Corrupt bitstreams are exactly where out-of-bounds reads would hide:
   # run the decoder error paths (concealment, fault injection, startcode
-  # fuzz) under AddressSanitizer.
+  # fuzz) under AddressSanitizer. test_serve's Server/ServerLifecycle
+  # suites ride along: a session finalizes and tears down (display, frame
+  # pool) on whichever worker drops its last claim, and a client's
+  # forget() may free it right after. A worker touching the session past
+  # that point is a use-after-free, which TSan does not report.
   run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPMP2_SANITIZE=address || return 1
   run cmake --build build-asan -j "$JOBS" \
-      --target test_concealment test_fault test_startcode_fuzz || return 1
+      --target test_concealment test_fault test_startcode_fuzz test_serve \
+      || return 1
   run ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'Concealment|FaultInjection|GopQuarantine|SimFaultModel|StartcodeFuzz'
+      -R 'Concealment|FaultInjection|GopQuarantine|SimFaultModel|StartcodeFuzz|Server|ServerLifecycle'
 }
 
 stage_soak() {

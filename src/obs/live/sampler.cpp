@@ -432,7 +432,6 @@ void write_snapshot_json(const LiveSnapshot& snapshot, std::ostream& os) {
     w.key("tasks").value(ws.cell.tasks);
     w.key("busy_ns").value(ws.cell.busy_ns);
     w.key("sync_ns").value(ws.cell.sync_ns);
-    w.key("backpressure_ns").value(ws.cell.backpressure_ns);
     w.key("bytes").value(ws.cell.bytes);
     w.key("concealed").value(ws.cell.concealed);
     w.key("quarantined").value(ws.cell.quarantined);
@@ -607,7 +606,6 @@ bool parse_snapshot(std::string_view line, LiveSnapshot& out,
       ws.cell.tasks = item.get_int("tasks");
       ws.cell.busy_ns = item.get_int("busy_ns");
       ws.cell.sync_ns = item.get_int("sync_ns");
-      ws.cell.backpressure_ns = item.get_int("backpressure_ns");
       ws.cell.bytes = item.get_int("bytes");
       ws.cell.concealed = item.get_int("concealed");
       ws.cell.quarantined = item.get_int("quarantined");

@@ -8,12 +8,13 @@
 // more than one writer.
 //
 // Concurrency design:
-//   * One TelemetryCell per worker plus one for the scan producer and one
-//     for the display process. Each cell has exactly one logical writer
-//     (the owning thread; the display cell is written under the
-//     DisplaySink mutex, which serializes its writers) and is published
-//     through a seqlock so the sampler reads a *consistent* multi-field
-//     snapshot without ever blocking a decoder.
+//   * One TelemetryCell per worker plus one for the scan and one for the
+//     display process. Each cell has exactly one logical writer (the
+//     owning thread; the scan cell by whichever worker holds the session's
+//     one scan claim, handed over under the engine's mutex; the display
+//     cell under the DisplaySink mutex, which serializes its writers) and
+//     is published through a seqlock so the sampler reads a *consistent*
+//     multi-field snapshot without ever blocking a decoder.
 //   * The payload fields are relaxed atomics and the sequence word uses
 //     acquire/release (the Boehm seqlock construction), so the whole cell
 //     is data-race-free under TSan — scripts/ci.sh runs the writer-storm
@@ -44,7 +45,6 @@ struct CellSample {
   std::int64_t tasks = 0;            // GOPs or slices completed
   std::int64_t busy_ns = 0;          // CPU time spent decoding
   std::int64_t sync_ns = 0;          // wall time blocked on queues/deps
-  std::int64_t backpressure_ns = 0;  // producer wall time blocked on bounds
   std::int64_t bytes = 0;            // bytes scanned/decoded by this writer
   std::int64_t concealed = 0;        // concealed slices
   std::int64_t quarantined = 0;      // whole pictures synthesized
@@ -85,8 +85,6 @@ class alignas(128) TelemetryCell {
       out.tasks = tasks_.load(std::memory_order_relaxed);
       out.busy_ns = busy_ns_.load(std::memory_order_relaxed);
       out.sync_ns = sync_ns_.load(std::memory_order_relaxed);
-      out.backpressure_ns =
-          backpressure_ns_.load(std::memory_order_relaxed);
       out.bytes = bytes_.load(std::memory_order_relaxed);
       out.concealed = concealed_.load(std::memory_order_relaxed);
       out.quarantined = quarantined_.load(std::memory_order_relaxed);
@@ -127,9 +125,6 @@ class alignas(128) TelemetryCell {
     Write& add_tasks(std::int64_t d = 1) { return add(cell_.tasks_, d); }
     Write& add_busy_ns(std::int64_t d) { return add(cell_.busy_ns_, d); }
     Write& set_sync_ns(std::int64_t v) { return set(cell_.sync_ns_, v); }
-    Write& add_backpressure_ns(std::int64_t d) {
-      return add(cell_.backpressure_ns_, d);
-    }
     Write& set_bytes(std::int64_t v) { return set(cell_.bytes_, v); }
     Write& add_concealed(std::int64_t d) { return add(cell_.concealed_, d); }
     Write& add_quarantined(std::int64_t d = 1) {
@@ -179,7 +174,6 @@ class alignas(128) TelemetryCell {
   std::atomic<std::int64_t> tasks_{0};
   std::atomic<std::int64_t> busy_ns_{0};
   std::atomic<std::int64_t> sync_ns_{0};
-  std::atomic<std::int64_t> backpressure_ns_{0};
   std::atomic<std::int64_t> bytes_{0};
   std::atomic<std::int64_t> concealed_{0};
   std::atomic<std::int64_t> quarantined_{0};
@@ -212,8 +206,7 @@ class LiveTelemetry {
   [[nodiscard]] const TelemetryCell& worker(int w) const {
     return cells_[static_cast<std::size_t>(w)];
   }
-  /// The scan/demux producer's cell (bytes scanned, GOPs indexed,
-  /// backpressure time).
+  /// The scan/demux cell (bytes scanned, GOPs indexed).
   [[nodiscard]] TelemetryCell& scan() {
     return cells_[static_cast<std::size_t>(workers_)];
   }

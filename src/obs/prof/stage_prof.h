@@ -38,7 +38,7 @@ namespace pmp2::obs::prof {
 /// Pipeline stages, in paper order. kOther absorbs everything between
 /// marked regions (dispatch, header parse, reference management).
 enum class Stage : unsigned {
-  kScan = 0,   // startcode scan / demux (producer thread)
+  kScan = 0,   // startcode scan / demux (scan thread or scan task)
   kVlc,        // variable-length block decode
   kIdct,       // inverse DCT + store
   kMc,         // motion compensation / prediction
@@ -115,8 +115,8 @@ struct ProfSummary {
 /// sequential runs re-binding the same slots).
 class StageProfiler {
  public:
-  /// `slots` is the maximum concurrently-bound threads (workers + the
-  /// scan producer). `source` must not be null.
+  /// `slots` is the maximum concurrently-bound threads (workers, plus the
+  /// slice decoder's scan thread). `source` must not be null.
   StageProfiler(std::unique_ptr<CounterSource> source, int slots);
   ~StageProfiler();
 

@@ -43,7 +43,7 @@ enum class SpanKind : std::uint8_t {
   kQueueWait,     // consumer side: task queue empty (scan not ahead yet,
                   // or the stream has fewer tasks than workers)
   kBarrierWait,   // blocked on a data dependency / picture barrier
-  kBackpressure,  // producer side: bounded queue full, or the open-picture
+  kBackpressure,  // the slice decoder's (or its simulation's) open-picture
                   // bound reached (memory backpressure)
 };
 

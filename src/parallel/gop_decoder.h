@@ -10,9 +10,9 @@
 //
 // A one-session façade over the DecodeServer engine (src/serve/engine.h;
 // the definition lives in src/serve/facades.cpp and links via pmp2_serve):
-// the session's producer is the scan process, the engine's pool the
-// workers, the session's DisplaySink the display process, and the engine
-// never explodes a GOP.
+// the session's scan tasks, run by the engine's workers, are the scan
+// process, the engine's pool the workers, the session's DisplaySink the
+// display process, and the engine never explodes a GOP.
 #pragma once
 
 #include <cstdint>

@@ -69,8 +69,8 @@ inline constexpr double kDefaultWorkerCapacity = 50'000.0;
 inline constexpr double kMeasuredShareAlpha = 0.3;
 /// Worker occupancy a measured charge budgets for: a session measured at
 /// one full worker is charged kDefaultWorkerCapacity / 0.8, keeping the
-/// prior's headroom for GOP cost variance and the producer and display
-/// threads that run outside the pool.
+/// prior's headroom for GOP cost variance and for the scan tasks and
+/// display emission that also run on the workers.
 inline constexpr double kTargetOccupancy = 0.8;
 /// Recent sessions of a stream class whose highest ratio a newcomer of
 /// that class is charged by.

@@ -41,10 +41,10 @@ struct EngineHooks {
   parallel::FrameCallback on_frame;  // display-order delivery (may be empty)
   bool conceal_errors = false;       // conceal even without quarantine
   mpeg2::MemoryTracker* tracker = nullptr;
-  /// Spans on track w = worker w and track `workers` = the scan process.
+  /// Spans on track w = worker w, its scan tasks included.
   obs::Tracer* tracer = nullptr;
   obs::live::LiveTelemetry* live = nullptr;
-  /// Slot w binds on worker w, slot `workers` on the session's producer.
+  /// Slot w binds on worker w, which charges its scan tasks there too.
   obs::prof::StageProfiler* prof = nullptr;
   // Per-task instruments, resolved once by the façade.
   obs::Counter* m_tasks = nullptr;

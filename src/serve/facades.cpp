@@ -74,15 +74,16 @@ RunResult decode_one_session(std::span<const std::uint8_t> stream,
   result.quarantined_gops = s.quarantined_gops;
   result.hung = s.hung;
   if (s.hung) {
-    // The session records which deadline fired: the engine's watchdog or
-    // the display's.
+    // The session records which check fired: the engine's watchdog after
+    // its deadline, or the display still owing pictures once the
+    // session's work was done (no wait).
     result.hang.where = "display";
     for (const ErrorRecord& e : s.errors) {
       if (e.cause == RecoveryCause::kWatchdog) {
         result.hang.where = "coordinator";
+        result.hang.waited_ns = config.watchdog_ns;
       }
     }
-    result.hang.waited_ns = config.watchdog_ns;
     result.hang.epoch = run.epoch;
     result.hang.pictures_delivered = s.pictures_delivered;
     result.hang.pictures_indexed = s.pictures;

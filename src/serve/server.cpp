@@ -6,7 +6,6 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -54,32 +53,17 @@ struct GopEntry {
   std::int64_t cost_ns = 0;  // accumulated task CPU time (EWMA feedback)
 };
 
-/// Binds a stage-profiler slot to the calling thread for its lifetime.
-class ProfBinding {
- public:
-  ProfBinding(obs::prof::StageProfiler* prof, int slot)
-      : prof_(prof ? prof->bind(slot) : nullptr) {}
-  ~ProfBinding() {
-    if (prof_) obs::prof::StageProfiler::unbind();
-  }
-  ProfBinding(const ProfBinding&) = delete;
-  ProfBinding& operator=(const ProfBinding&) = delete;
-
-  [[nodiscard]] obs::prof::WorkerProf* get() const { return prof_; }
-
- private:
-  obs::prof::WorkerProf* prof_;
-};
-
 struct Session;
 
-/// What one cross-session claim hands a worker. `gop` is resolved while
-/// the server mutex is held: entries live in a std::deque whose *element*
-/// addresses are stable, but re-indexing the deque unlocked would race
-/// the producer's concurrent push_back on the deque's internal block map
-/// — workers must go through this pointer, never s.entries[entry].
+/// What one cross-session claim hands a worker: decode a whole GOP, decode
+/// one exploded picture, or scan the session's next GOP. `gop` is resolved
+/// while the server mutex is held: entries live in a std::deque whose
+/// *element* addresses are stable, but re-indexing the deque unlocked
+/// would race a scan task's concurrent push_back on the deque's internal
+/// block map — workers must go through this pointer, never
+/// s.entries[entry].
 struct Claim {
-  enum class Kind { kWholeGop, kPicture } kind = Kind::kWholeGop;
+  enum class Kind { kWholeGop, kPicture, kScan } kind = Kind::kWholeGop;
   Session* session = nullptr;
   GopEntry* gop = nullptr;
   int entry = -1;
@@ -98,7 +82,10 @@ struct Session {
   AdmissionDecision decision = AdmissionDecision::kReject;
   SessionState state = SessionState::kQueued;
 
-  // Decode context (created by the producer at start).
+  // Scan and decode context, built by the session's first scan task.
+  // One scan claim is out at a time, so the scanner has one user at a
+  // time; decode workers read the rest only after a GOP is queued.
+  std::optional<mpeg2::StructureScanner> scanner;
   mpeg2::StreamStructure structure;
   std::optional<mpeg2::FramePool> pool;
   std::optional<parallel::DisplaySink> display;
@@ -110,7 +97,7 @@ struct Session {
   obs::live::SessionSurface* surface = nullptr;
   /// The session's telemetry: the surface's cells, or the façade's own.
   obs::live::LiveTelemetry* live = nullptr;
-  std::int64_t scan_ns = 0;  // producer-only until finalize
+  std::int64_t scan_ns = 0;  // written by the scan-claim holder
 
   // Scheduler state, guarded by the server mutex.
   std::deque<GopEntry> entries;  // stable addresses
@@ -119,9 +106,10 @@ struct Session {
   int pushed = 0;
   int completed_gops = 0;
   int queued_gops = 0;  // entries sitting in `queue`
-  int in_flight = 0;    // claims handed out, not yet finished
+  int in_flight = 0;    // claims handed out (scan included), not finished
   int gop_mode_gops = 0;
   int exploded_gops = 0;
+  bool scan_claimed = false;  // a worker holds the session's scan claim
   bool scan_done = false;
   bool scan_ok = true;
   bool cancel_requested = false;
@@ -139,14 +127,12 @@ struct Session {
   std::int64_t finish_ns = -1;
 
   // Display-order enqueue timestamps feeding the latency histogram; the
-  // producer appends under latency_mutex, the display emitter reads.
+  // scan task appends under latency_mutex, the display emitter reads.
   std::mutex latency_mutex;
   std::vector<std::int64_t> enqueue_by_display;
 
   SessionResult result;
   bool result_ready = false;
-
-  std::jthread producer;  // joined when the Session is destroyed
 
   [[nodiscard]] bool terminal() const {
     return state == SessionState::kFinished ||
@@ -154,18 +140,26 @@ struct Session {
            state == SessionState::kFailed ||
            state == SessionState::kRejected;
   }
+  [[nodiscard]] bool stopped() const {
+    return cancel_requested || aborted || hung;
+  }
+  /// The scan's backpressure is its claimability: one scan claim at a
+  /// time, and only while the queue of unstarted GOPs is below its bound.
+  [[nodiscard]] bool scan_claimable() const {
+    return !scan_done && !scan_claimed && !stopped() &&
+           (cfg.max_queued_gops == 0 ||
+            static_cast<std::size_t>(queued_gops) < cfg.max_queued_gops);
+  }
   /// Work the pool could still be handed (or is holding) for this session.
   [[nodiscard]] bool pending_work() const {
     return state == SessionState::kRunning &&
-           (!queue.empty() || !active.empty() || in_flight > 0);
+           (!queue.empty() || !active.empty() || in_flight > 0 ||
+            scan_claimable());
   }
   [[nodiscard]] bool runnable() const {
-    if (state != SessionState::kRunning || cancel_requested || aborted ||
-        hung) {
-      return false;
-    }
-    if (!queue.empty()) return true;
-    return !active.empty();  // refined by has_ready_picture at claim time
+    if (state != SessionState::kRunning || stopped()) return false;
+    // Exploded pictures are refined by pic_ready at claim time.
+    return scan_claimable() || !queue.empty() || !active.empty();
   }
 };
 
@@ -210,8 +204,7 @@ struct Engine {
   ~Engine() { shutdown(); }
 
   /// Cancels whatever is not terminal, drains, and joins the pool.
-  /// Idempotent; sessions themselves die with the engine (their producers
-  /// join in ~Session).
+  /// Idempotent; sessions themselves die with the engine.
   void shutdown() {
     {
       const std::scoped_lock lock(mutex_);
@@ -305,9 +298,9 @@ struct Engine {
       forgotten_.emplace(id, Tombstone{s->state, s->decision});
       victim = std::move(sessions_[static_cast<std::size_t>(id)]);
     }
-    // The producer is already past finalize (result_ready), so destroying
-    // the Session outside the lock joins an exiting thread. The surface
-    // goes last: nothing references it once the Session is gone.
+    // result_ready means the session finalized with no claim out, so no
+    // worker touches it again. The surface goes last: nothing references
+    // it once the Session is gone.
     victim.reset();
     surfaces_.close(id);
     return true;
@@ -382,7 +375,6 @@ struct Engine {
     s.start_ns = timer_.elapsed_ns();
     s.surface = &surfaces_.open(s.id, s.cfg.name);
     s.live = hooks_.live ? hooks_.live : &s.surface->live;
-    s.producer = std::jthread([this, &s] { producer_main(s); });
   }
 
   void request_cancel_locked(Session& s) {
@@ -404,6 +396,7 @@ struct Engine {
     if (s.state != SessionState::kRunning) return;
     s.cancel_requested = true;
     purge_session_queue_locked(s);
+    maybe_finalize_locked(s);
   }
 
   /// Drops every unstarted task of `s` so the pool stops serving it:
@@ -437,28 +430,56 @@ struct Engine {
     cv_.notify_all();
   }
 
-  // --- Producer: one per running session (scan + lifecycle). -------------
+  // --- Scan: one claim at a time per session, run by a worker. -----------
 
-  void producer_main(Session& s) {
+  /// Scans the session's next GOP and queues it. The first scan task also
+  /// parses the preamble and builds the decode context. Charged 0 at claim
+  /// time, settled to its thread CPU; not counted as a decode task.
+  void scan_task(const Claim& claim, int w, parallel::WorkerStats& stats,
+                 obs::prof::WorkerProf* prof) {
+    Session& s = *claim.session;
     obs::Tracer* const tracer = hooks_.tracer;
-    const int scan_track = config_.workers;
-    const ProfBinding prof(hooks_.prof, scan_track);
-    WallTimer preamble_timer;
-    std::int64_t span_begin = tracer ? tracer->now_ns() : 0;
-    mpeg2::StructureScanner scanner(s.stream);
-    const bool preamble_ok = scanner.scan_preamble();
-    s.scan_ns = preamble_timer.elapsed_ns();
+    const std::int64_t span_begin = tracer ? tracer->now_ns() : 0;
+    const ThreadCpuTimer cpu;
+    const WallTimer wall;
+    const bool ready = s.scanner || open_scan(s);
+    mpeg2::GopInfo gop;
+    bool have = false;
+    if (ready) {
+      const obs::prof::StageScope scan_stage(obs::prof::Stage::kScan);
+      have = s.scanner->next_gop(gop);
+    }
+    s.scan_ns += wall.elapsed_ns();
     if (tracer) {
-      tracer->emit(scan_track, obs::SpanKind::kScan, span_begin,
-                   tracer->now_ns());
+      tracer->emit(w, obs::SpanKind::kScan, span_begin, tracer->now_ns(), -1,
+                   -1, s.pushed);
     }
-    if (!preamble_ok) {
+    {
+      obs::live::TelemetryCell::Write lw(s.live->scan());
+      lw.set_bytes(static_cast<std::int64_t>(s.scanner->position()));
+      if (prof) lw.add_counters(prof->take_task_delta());
+    }
+    const std::int64_t task_ns = cpu.elapsed_ns();
+    const std::scoped_lock lock(mutex_);
+    stats.compute_ns += task_ns;  // load_summary() reads under mutex_
+    settle_claim_locked(s, claim, task_ns);
+    s.scan_claimed = false;
+    if (!ready) {
       // Admission validated the preamble, so this is defensive only.
-      const std::scoped_lock lock(mutex_);
       s.aborted = true;
-      finalize_locked(s);
-      return;
+    } else if (!s.stopped()) {
+      queue_scanned_locked(s, have, std::move(gop));
     }
+    ++epoch_;
+    maybe_finalize_locked(s);
+    cv_.notify_all();
+  }
+
+  /// The first scan task's setup. Nothing else reads the context it
+  /// builds before a GOP is queued under mutex_.
+  bool open_scan(Session& s) {
+    mpeg2::StructureScanner& scanner = s.scanner.emplace(s.stream);
+    if (!scanner.scan_preamble()) return false;
     s.structure.seq = scanner.seq();
     s.structure.ext = scanner.ext();
     s.structure.mpeg1 = scanner.mpeg1();
@@ -473,7 +494,7 @@ struct Engine {
       if (hooks_.on_frame) hooks_.on_frame(std::move(frame));
     });
     s.display->set_live(s.live);
-    s.gobs.tracer = tracer;
+    s.gobs.tracer = hooks_.tracer;
     s.gobs.conceal_errors = s.cfg.quarantine_gops || hooks_.conceal_errors;
     s.gobs.quarantine = s.cfg.quarantine_gops;
     s.gobs.concealed = &s.concealed;
@@ -482,114 +503,44 @@ struct Engine {
     s.gobs.errors = s.cfg.quarantine_gops ? &s.errors : nullptr;
     s.gobs.h_resync = hooks_.h_resync;
     s.gobs.live = s.live;
-
-    // Scan loop: stream GOPs into the session queue with backpressure.
-    int index = 0;
-    for (;;) {
-      WallTimer gop_timer;
-      span_begin = tracer ? tracer->now_ns() : 0;
-      mpeg2::GopInfo gop;
-      bool have;
-      {
-        const obs::prof::StageScope scan_stage(obs::prof::Stage::kScan);
-        have = scanner.next_gop(gop);
-      }
-      s.scan_ns += gop_timer.elapsed_ns();
-      if (tracer) {
-        tracer->emit(scan_track, obs::SpanKind::kScan, span_begin,
-                     tracer->now_ns(), -1, -1, index);
-      }
-      {
-        obs::live::TelemetryCell::Write lw(s.live->scan());
-        lw.set_bytes(static_cast<std::int64_t>(scanner.position()));
-      }
-      std::unique_lock lock(mutex_);
-      if (s.cancel_requested || s.aborted || s.hung) break;
-      if (!have) {
-        s.scan_ok = !scanner.failed() && index > 0;
-        if (scanner.failed() && s.cfg.quarantine_gops) {
-          s.errors.add({parallel::RecoveryCause::kScanTruncated, index, -1,
-                        scanner.position()});
-          if (scanner.failed_in_gop() && !gop.pictures.empty()) {
-            push_gop_locked(s, std::move(gop), index, lock);
-            ++index;
-          }
-          s.scan_ok = s.total_pictures > 0;
-        }
-        break;
-      }
-      if (!gop.closed) {
-        if (!s.cfg.quarantine_gops) {
-          s.scan_ok = false;
-          break;
-        }
-        s.errors.add(
-            {parallel::RecoveryCause::kOpenGop, index, -1, gop.offset});
-      }
-      push_gop_locked(s, std::move(gop), index, lock);
-      ++index;
-    }
-    if (prof.get()) {
-      obs::live::TelemetryCell::Write lw(s.live->scan());
-      lw.add_counters(prof.get()->take_task_delta());
-    }
-
-    // Lifecycle tail: publish the total, wait for the pool to finish the
-    // session's work, then drain the display and finalize.
-    bool wait_display = false;
-    {
-      std::unique_lock lock(mutex_);
-      s.scan_done = true;
-      ++epoch_;
-      cv_.notify_all();
-      cv_.wait(lock, [&] {
-        if (s.aborted || s.hung) return s.in_flight == 0;
-        if (s.cancel_requested) return s.in_flight == 0;
-        return s.completed_gops == s.pushed && s.in_flight == 0;
-      });
-      wait_display = !s.cancel_requested && !s.aborted && !s.hung &&
-                     s.scan_ok;
-      if (wait_display) s.display->set_total(s.total_pictures);
-    }
-    if (wait_display &&
-        !s.display->wait_done_for(config_.watchdog_ns)) {
-      const std::scoped_lock lock(mutex_);
-      s.hung = true;
-      s.errors.add({parallel::RecoveryCause::kDisplayTimeout, -1, -1, 0});
-    }
-    const std::scoped_lock lock(mutex_);
-    finalize_locked(s);
+    return true;
   }
 
-  /// Appends one scanned GOP, blocking while the session's bounded queue
-  /// is full (per-session backpressure; the pool keeps serving everyone
-  /// else meanwhile).
-  void push_gop_locked(Session& s, mpeg2::GopInfo&& gop, int index,
-                       std::unique_lock<std::mutex>& lock) {
-    if (s.cfg.max_queued_gops > 0) {
-      obs::Tracer* const tracer = hooks_.tracer;
-      const std::int64_t span_begin = tracer ? tracer->now_ns() : 0;
-      WallTimer blocked;
-      cv_.wait(lock, [&] {
-        return s.queued_gops < static_cast<int>(s.cfg.max_queued_gops) ||
-               s.cancel_requested || s.aborted || s.hung || stop_;
-      });
-      const std::int64_t blocked_ns = blocked.elapsed_ns();
-      if (blocked_ns > 0) {
-        obs::live::TelemetryCell::Write lw(s.live->scan());
-        lw.add_backpressure_ns(blocked_ns);
+  /// Queues the GOP one scan task found, or ends the scan at end of
+  /// stream, at a truncated GOP, or at an open GOP without recovery.
+  void queue_scanned_locked(Session& s, bool have, mpeg2::GopInfo&& gop) {
+    const mpeg2::StructureScanner& scanner = *s.scanner;
+    if (!have) {
+      s.scan_done = true;
+      s.scan_ok = !scanner.failed() && s.pushed > 0;
+      if (scanner.failed() && s.cfg.quarantine_gops) {
+        s.errors.add({parallel::RecoveryCause::kScanTruncated, s.pushed, -1,
+                      scanner.position()});
+        if (scanner.failed_in_gop() && !gop.pictures.empty()) {
+          push_gop_locked(s, std::move(gop));
+        }
+        s.scan_ok = s.total_pictures > 0;
       }
-      if (tracer && blocked_ns >= kMinWaitSpanNs) {
-        tracer->emit(config_.workers, obs::SpanKind::kBackpressure,
-                     span_begin, span_begin + blocked_ns);
-      }
+      return;
     }
-    if (s.cancel_requested || s.aborted || s.hung || stop_) return;
+    if (!gop.closed) {
+      if (!s.cfg.quarantine_gops) {
+        s.scan_done = true;
+        s.scan_ok = false;
+        return;
+      }
+      s.errors.add(
+          {parallel::RecoveryCause::kOpenGop, s.pushed, -1, gop.offset});
+    }
+    push_gop_locked(s, std::move(gop));
+  }
+
+  void push_gop_locked(Session& s, mpeg2::GopInfo&& gop) {
     const int id = static_cast<int>(s.entries.size());
     s.entries.emplace_back();
     GopEntry& e = s.entries.back();
     e.info = std::move(gop);
-    e.index = index;
+    e.index = s.pushed;
     e.display_base = s.total_pictures;
     e.bytes = e.info.end_offset - e.info.offset;
     e.enqueue_ns = timer_.elapsed_ns();
@@ -605,12 +556,8 @@ struct Engine {
     ++s.pushed;
     ++queued_total_;
     s.live->add_queue_depth(1);
-    {
-      obs::live::TelemetryCell::Write lw(s.live->scan());
-      lw.add_tasks().set_last_progress_ns(s.live->now_ns());
-    }
-    ++epoch_;
-    cv_.notify_all();
+    obs::live::TelemetryCell::Write lw(s.live->scan());
+    lw.add_tasks().set_last_progress_ns(s.live->now_ns());
   }
 
   void record_latency(Session& s, const mpeg2::Frame& frame) {
@@ -660,6 +607,7 @@ struct Engine {
             s->errors.add(
                 {parallel::RecoveryCause::kWatchdog, -1, -1, 0});
             purge_session_queue_locked(*s);  // bumps epoch_, notifies
+            maybe_finalize_locked(*s);
           }
         }
       } else {
@@ -696,11 +644,13 @@ struct Engine {
                            config_.watchdog_ns);
   }
 
-  /// Fair pick, then intra-session dispatch: ready exploded pictures
-  /// before queued whole GOPs (frames closest to display first), and the
-  /// whole-vs-exploded decision at pop time from the *global* queue depth
-  /// plus the shared cross-session CostEwma — the PR 9 dispatcher with
-  /// its signal widened to the whole server.
+  /// Fair pick, then intra-session dispatch: the session's scan first
+  /// (keeping its queue as deep as its bound, the depth should_explode
+  /// reads), then ready exploded pictures before queued whole GOPs (frames
+  /// closest to display first), and the whole-vs-exploded decision at pop
+  /// time from the *global* queue depth plus the shared cross-session
+  /// CostEwma — the adaptive dispatcher with its signal widened to the
+  /// whole server.
   bool try_claim_locked(Claim& out) {
     shares_.clear();
     for (const auto& s : sessions_) {
@@ -715,7 +665,14 @@ struct Engine {
     const int idx = sched::pick_session(shares_);
     if (idx < 0) return false;
     Session& s = *sessions_[static_cast<std::size_t>(idx)];
-    // Ready exploded picture first, lowest entry id (closest to display).
+    if (s.scan_claimable()) {
+      s.scan_claimed = true;
+      ++s.in_flight;
+      out.kind = Claim::Kind::kScan;
+      out.session = &s;
+      return true;
+    }
+    // Ready exploded picture next, lowest entry id (closest to display).
     for (const int g : s.active) {
       GopEntry& e = s.entries[static_cast<std::size_t>(g)];
       for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
@@ -737,7 +694,7 @@ struct Engine {
   }
 
   [[nodiscard]] bool has_claimable_locked(const Session& s) const {
-    if (!s.queue.empty()) return true;
+    if (s.scan_claimable() || !s.queue.empty()) return true;
     for (const int g : s.active) {
       const GopEntry& e = s.entries[static_cast<std::size_t>(g)];
       for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
@@ -819,7 +776,7 @@ struct Engine {
       out.pic = -1;
       charge_claim_locked(s, out, e.bytes);
     }
-    cv_.notify_all();  // a backpressured producer may resume
+    cv_.notify_all();  // the session's scan may be claimable again
   }
 
   /// Debits the predicted cost at claim time so two claims between
@@ -875,6 +832,7 @@ struct Engine {
       if (!outcome.damaged) calibrate_locked(s, *claim.gop, task_ns);
       ++s.completed_gops;
     }
+    maybe_finalize_locked(s);
     cv_.notify_all();
   }
 
@@ -886,6 +844,7 @@ struct Engine {
     settle_claim_locked(s, claim, task_ns);
     if (!ok) {
       abort_session_locked(s);
+      maybe_finalize_locked(s);
       cv_.notify_all();
       return;
     }
@@ -904,6 +863,7 @@ struct Engine {
       e.frames.clear();  // return reference frames to the session pool
       ++s.completed_gops;
     }
+    maybe_finalize_locked(s);
     cv_.notify_all();
   }
 
@@ -917,7 +877,7 @@ struct Engine {
   /// never decoded.
   void calibrate_locked(Session& s, const GopEntry& e,
                         std::int64_t cost_ns) {
-    if (s.cancel_requested || s.aborted || s.hung) return;
+    if (s.stopped()) return;
     const double display_s =
         static_cast<double>(e.info.pictures.size()) / s.profile.frame_rate;
     admission_.observe(s.charge, s.profile,
@@ -930,10 +890,22 @@ struct Engine {
     purge_session_queue_locked(s);
   }
 
-  /// Terminal-state bookkeeping. The heavyweight teardown (display,
-  /// entries, pool) happens here too: by the time finalize runs, the
-  /// session has no in-flight work, so no worker touches its state.
-  void finalize_locked(Session& s) {
+  /// The one finalize path, called wherever a session may have become
+  /// quiescent: no claim out, and either stopped or every scanned GOP
+  /// decoded. Terminal-state bookkeeping and the heavyweight teardown
+  /// (display, entries, pool) run here, on whichever thread got there.
+  void maybe_finalize_locked(Session& s) {
+    if (s.state != SessionState::kRunning || s.in_flight > 0) return;
+    if (!s.stopped() && !(s.scan_done && s.completed_gops == s.pushed)) {
+      return;
+    }
+    // The display emits on the pushing worker inside its task, so at
+    // quiescence every push has emitted: a picture still owed never comes.
+    if (!s.stopped() && s.scan_ok &&
+        s.display->emitted() < s.total_pictures) {
+      s.hung = true;
+      s.errors.add({parallel::RecoveryCause::kDisplayTimeout, -1, -1, 0});
+    }
     s.finish_ns = timer_.elapsed_ns();
     SessionResult& r = s.result;
     r.profile = s.profile;
@@ -1008,7 +980,8 @@ struct Engine {
     parallel::WorkerStats& stats =
         worker_stats_[static_cast<std::size_t>(w)];
     obs::Tracer* const tracer = hooks_.tracer;
-    const ProfBinding prof(hooks_.prof, w);
+    obs::prof::WorkerProf* const prof =
+        hooks_.prof ? hooks_.prof->bind(w) : nullptr;
     for (;;) {
       const std::int64_t wait_begin = tracer ? tracer->now_ns() : 0;
       const std::int64_t sync_before = stats.sync_ns;  // this thread's
@@ -1021,15 +994,19 @@ struct Engine {
         }
       }
       if (!have) break;
+      // The scan task and finish_* must stay the worker's LAST touch of
+      // the session: the thread that drops in_flight to zero finalizes,
+      // and a client's forget() can then free the Session and its surface.
+      if (claim.kind == Claim::Kind::kScan) {
+        scan_task(claim, w, stats, prof);
+        continue;
+      }
       if (hooks_.h_wait) hooks_.h_wait->record(stats.sync_ns - sync_before);
       Session& s = *claim.session;
       const std::int64_t task_begin = tracer ? tracer->now_ns() : 0;
       ThreadCpuTimer cpu;
       // claim.gop was resolved under mutex_; never re-index s.entries
-      // here — the producer may be push_back-ing the deque concurrently.
-      // finish_* must stay the worker's LAST touch of the session: once
-      // in_flight drops, the producer can finalize and a client's
-      // forget() can free the Session and its surface.
+      // here — a scan task may be push_back-ing the deque concurrently.
       if (claim.kind == Claim::Kind::kWholeGop) {
         const GopEntry& e = *claim.gop;
         const parallel::GopTask task{&e.info, e.index, e.display_base,
@@ -1042,7 +1019,7 @@ struct Engine {
           tracer->emit(w, obs::SpanKind::kGopTask, task_begin,
                        tracer->now_ns(), -1, -1, e.index);
         }
-        note_task(stats, s, w, task_ns, prof.get());
+        note_task(stats, s, w, task_ns, prof);
         finish_whole(claim, task_ns, outcome);
       } else {
         const GopEntry& e = *claim.gop;
@@ -1059,15 +1036,16 @@ struct Engine {
             out.quarantined ||
             (out.concealed_slices > 0 && s.cfg.quarantine_gops);
         // Drop the reference handles BEFORE finish_picture decrements
-        // in_flight: the producer reads the pool's leak counters the
-        // moment in_flight hits zero, and these two FramePtrs must be
-        // back in the free list by then.
+        // in_flight: finalize reads the pool's leak counters the moment
+        // in_flight hits zero, and these two FramePtrs must be back in
+        // the free list by then.
         claim.fwd.reset();
         claim.bwd.reset();
-        note_task(stats, s, w, task_ns, prof.get());
+        note_task(stats, s, w, task_ns, prof);
         finish_picture(claim, std::move(out.frame), task_ns, damaged, ok);
       }
     }
+    if (prof) obs::prof::StageProfiler::unbind();
   }
 
   void note_task(parallel::WorkerStats& stats, Session& s, int w,

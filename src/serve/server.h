@@ -6,8 +6,9 @@
 // long-lived parallel::WorkerPool serves many sessions, each of which
 // keeps the isolation-relevant state private:
 //
-//   * its own StructureScanner/StreamDemux producer thread (scan overlap
-//     per session, bounded GOP queue with backpressure),
+//   * its own StructureScanner, advanced one GOP per scan task that a
+//     worker claims while the session's GOP queue is below its bound
+//     (backpressure without a thread: no session owns one),
 //   * its own FramePool and DisplaySink (frames and reordering never cross
 //     sessions),
 //   * its own quarantine/concealment state and ErrorLog (a corrupt
@@ -59,7 +60,7 @@ using SessionId = int;
 
 enum class SessionState : std::uint8_t {
   kQueued,     // admitted to the wait list, not yet running
-  kRunning,    // producer scanning / workers decoding
+  kRunning,    // workers scanning and decoding
   kFinished,   // completed (possibly degraded); result valid
   kCancelled,  // cancel() before completion; result valid
   kFailed,     // decode/scan failure with recovery off, or hung
@@ -93,8 +94,8 @@ enum class SessionState : std::uint8_t {
 struct SessionConfig {
   std::string name;          // report/telemetry label ("" = "session-<id>")
   double weight = 1.0;       // fair-share weight (sched::FairShare)
-  /// GOP tasks queued unstarted before the session's producer blocks
-  /// (per-session backpressure; 0 = unbounded).
+  /// GOPs scanned but not started before the session's scan stops being
+  /// claimable (per-session backpressure; 0 = unbounded).
   std::size_t max_queued_gops = 4;
   /// Bounded recovery exactly as the single-stream decoders define it
   /// (docs/ROBUSTNESS.md): conceal + quarantine, blast radius one GOP.
@@ -106,7 +107,7 @@ struct SessionConfig {
 struct SessionResult {
   SessionState state = SessionState::kQueued;
   bool ok = false;         // kFinished and the stream decoded
-  bool hung = false;       // watchdog/display deadline fired
+  bool hung = false;       // watchdog fired, or display owed pictures
   std::uint64_t checksum = 0;  // display-order digest (== solo-run value)
   int pictures = 0;            // pictures indexed by the scan
   int pictures_delivered = 0;  // emitted in display order
@@ -140,9 +141,10 @@ struct SessionResult {
 struct ServerConfig {
   int workers = 4;
   AdmissionController::Config admission;  // capacity/max_sessions/max_queued
-  /// Watchdog over the cross-session scheduling epoch and each session's
-  /// display: a full period with pending work and no progress fails the
-  /// affected sessions (never the server). 0 = off.
+  /// Watchdog over the cross-session scheduling epoch: a full period with
+  /// pending work and no progress fails the affected sessions (never the
+  /// server). 0 = off. A session whose display still owes pictures once
+  /// its work is done fails at once, whatever this is.
   std::int64_t watchdog_ns = 0;
   /// Adaptive dispatch knobs (sched::AdaptivePolicy); queue depth is
   /// summed across sessions.

@@ -536,7 +536,7 @@ TEST(DecoderTrace, GopDecoderEmitsGopAndPictureSpans) {
   cfg.tracer = &tracer;
   const auto r = parallel::GopParallelDecoder(cfg).decode(stream);
   ASSERT_TRUE(r.ok);
-  std::uint64_t gop_spans = 0, picture_spans = 0;
+  std::uint64_t gop_spans = 0, picture_spans = 0, scan_spans = 0;
   for (int t = 0; t < tracer.tracks(); ++t) {
     for (const auto& s : tracer.track(t).spans()) {
       if (s.kind == obs::SpanKind::kGopTask) {
@@ -544,10 +544,15 @@ TEST(DecoderTrace, GopDecoderEmitsGopAndPictureSpans) {
         EXPECT_GE(s.gop, 0);
       }
       if (s.kind == obs::SpanKind::kPicture) ++picture_spans;
+      if (s.kind == obs::SpanKind::kScan) {
+        ++scan_spans;
+        EXPECT_LT(t, workers);  // scan tasks run on the worker tracks
+      }
     }
   }
   EXPECT_EQ(gop_spans, 2u);  // 26 pictures, gop 13
   EXPECT_EQ(picture_spans, 26u);
+  EXPECT_GT(scan_spans, 0u);
 }
 
 /// Same corruption idiom as concealment_test.cpp: stomp one slice payload.

@@ -7,9 +7,12 @@
 // *Lifecycle* suites also run under TSan via scripts/ci.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -470,7 +473,7 @@ TEST(Server, ConcurrentSessionsAreIsolated) {
 }
 
 TEST(Server, BoundedQueueStallsAndResumes) {
-  // max_queued_gops = 1 throttles the producer to one unstarted GOP; the
+  // max_queued_gops = 1 throttles the scan to one unstarted GOP; the
   // session must still complete with the exact output (stall + resume,
   // not deadlock or reorder).
   const auto stream = make_stream(176, 120, 4, 32);
@@ -549,7 +552,7 @@ TEST(Server, CancelMidDecodeReleasesEveryFrame) {
   config.watchdog_ns = 30'000'000'000;
   DecodeServer server(config);
   SessionConfig sc;
-  sc.max_queued_gops = 1;  // keep the producer mid-stream when we cancel
+  sc.max_queued_gops = 1;  // keep the scan mid-stream when we cancel
   const auto id = server.submit(stream, std::move(sc));
   // Let some decode happen so the cancel lands mid-flight, not pre-start.
   while (server.surfaces().size() == 0) std::this_thread::yield();
@@ -859,6 +862,53 @@ TEST(ServerLifecycle, SequentialSessionsReuseThePool) {
     EXPECT_EQ(r.checksum, expected) << "round " << round;
   }
   EXPECT_EQ(server.load_summary().workers, 3);
+}
+
+/// This process's thread count from /proc/self/status, or -1 if unreadable.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ServerLifecycle, SessionsDoNotOwnThreads) {
+  // Scanning is a worker task, so 64 open sessions on 2 workers add no
+  // thread: the process holds the main thread and the pool, whatever the
+  // session count.
+  if (process_threads() < 0) {
+    GTEST_SKIP() << "/proc/self/status unreadable";
+  }
+  const auto stream = make_stream(176, 120, 4, 12);
+  const std::uint64_t expected = solo_checksum(stream);
+  ServerConfig config;
+  config.workers = 2;
+  config.admission.capacity = 1e12;  // admit all 64 at once
+  DecodeServer server(config);
+  std::vector<serve::SessionId> ids;
+  for (int i = 0; i < 64; ++i) {
+    SessionConfig sc;
+    sc.max_queued_gops = 1;
+    ids.push_back(server.submit(stream, std::move(sc)));
+  }
+  const int max_threads = config.workers + 2;
+  EXPECT_LE(process_threads(), max_threads) << "straight after submit";
+  int peak = 0;
+  for (const auto id : ids) {
+    while (server.state(id) == SessionState::kRunning) {
+      peak = std::max(peak, process_threads());
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_LE(peak, max_threads) << "while the sessions ran";
+  for (const auto id : ids) {
+    const SessionResult r = server.wait(id);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.checksum, expected);
+    EXPECT_EQ(r.pool_idle, r.pool_misses);
+  }
 }
 
 // ---------------------------------------------------------------------------
