@@ -113,7 +113,7 @@ void conceal_mb_run(const PictureContext& pic, int row, int col0, int col1) {
 }
 
 int conceal_coverage_gaps(const PictureContext& pic,
-                          const std::vector<bool>& covered) {
+                          const MbCoverage& covered) {
   int runs = 0;
   for (int row = 0; row < pic.mb_height; ++row) {
     const std::size_t base =
@@ -143,24 +143,20 @@ std::uint64_t resync_distance(std::span<const std::uint8_t> stream,
   return find_startcode_prefix(stream, from) - from;
 }
 
-bool decode_picture_slices(std::span<const std::uint8_t> stream,
-                           const PictureInfo& info, const PictureContext& pic,
-                           WorkMeter& work, const PictureDecodeOptions& opts) {
-  // Macroblock-granular coverage for conceal_coverage_gaps: a damaged
-  // picture must decode to the same bytes in every decoder and every run.
-  std::vector<bool> covered;
-  if (opts.conceal_errors) {
-    covered.assign(static_cast<std::size_t>(pic.mb_width * pic.mb_height),
-                   false);
-  }
-  const auto cover_row = [&](int row) {
-    if (row < 0 || row >= pic.mb_height) return;
-    std::fill_n(covered.begin() +
-                    static_cast<std::ptrdiff_t>(row) * pic.mb_width,
-                pic.mb_width, true);
+bool decode_picture_row(std::span<const std::uint8_t> stream,
+                        const PictureInfo& info, int row,
+                        const PictureContext& pic, WorkMeter& work,
+                        const PictureDecodeOptions& opts,
+                        MbCoverage& covered) {
+  const auto cover = [&](int first, int last) {
+    if (covered.empty()) return;
+    std::fill(covered.begin() + first, covered.begin() + last + 1,
+              std::uint8_t{1});
   };
-  int slice_ordinal = 0;
+  int slice_ordinal = -1;
   for (const auto& slice : info.slices) {
+    ++slice_ordinal;
+    if (row >= 0 && std::min(slice.row, pic.mb_height - 1) != row) continue;
     BitReader br(stream);
     br.seek_bytes(slice.offset + 4);
     const std::int64_t begin_ns =
@@ -174,11 +170,7 @@ bool decode_picture_slices(std::span<const std::uint8_t> stream,
     }
     if (r.ok) {
       work += r.work;
-      if (!covered.empty() && r.first_mb >= 0) {
-        for (int a = r.first_mb; a <= r.last_mb; ++a) {
-          covered[static_cast<std::size_t>(a)] = true;
-        }
-      }
+      if (r.first_mb >= 0) cover(r.first_mb, r.last_mb);
     } else if (opts.conceal_errors) {
       const std::int64_t conceal_begin =
           opts.tracer ? opts.tracer->now_ns() : 0;
@@ -187,7 +179,9 @@ bool decode_picture_slices(std::span<const std::uint8_t> stream,
             resync_distance(stream, br.bit_position() / 8)));
       }
       conceal_slice(pic, slice.row);
-      cover_row(slice.row);
+      if (slice.row >= 0 && slice.row < pic.mb_height) {
+        cover(slice.row * pic.mb_width, (slice.row + 1) * pic.mb_width - 1);
+      }
       if (opts.concealed) ++*opts.concealed;
       if (opts.tracer) {
         opts.tracer->emit(opts.track, obs::SpanKind::kConceal, conceal_begin,
@@ -197,22 +191,28 @@ bool decode_picture_slices(std::span<const std::uint8_t> stream,
     } else {
       return false;
     }
-    ++slice_ordinal;
-  }
-  if (!covered.empty()) {
-    const int runs = conceal_coverage_gaps(pic, covered);
-    if (opts.concealed) *opts.concealed += runs;
   }
   return true;
 }
 
 bool decode_picture_slices(std::span<const std::uint8_t> stream,
                            const PictureInfo& info, const PictureContext& pic,
-                           WorkMeter& work, TraceSink* sink, int proc) {
-  PictureDecodeOptions opts;
-  opts.sink = sink;
-  opts.proc = proc;
-  return decode_picture_slices(stream, info, pic, work, opts);
+                           WorkMeter& work, const PictureDecodeOptions& opts) {
+  // Macroblock-granular coverage for conceal_coverage_gaps: a damaged
+  // picture must decode to the same bytes in every decoder and every run.
+  MbCoverage covered;
+  if (opts.conceal_errors) {
+    covered.assign(static_cast<std::size_t>(pic.mb_width * pic.mb_height),
+                   0);
+  }
+  if (!decode_picture_row(stream, info, -1, pic, work, opts, covered)) {
+    return false;
+  }
+  if (!covered.empty()) {
+    const int runs = conceal_coverage_gaps(pic, covered);
+    if (opts.concealed) *opts.concealed += runs;
+  }
+  return true;
 }
 
 void DisplayReorder::push(FramePtr frame, std::vector<FramePtr>& out) {

@@ -114,6 +114,11 @@ struct PictureDecodeOptions {
 [[nodiscard]] std::uint64_t resync_distance(
     std::span<const std::uint8_t> stream, std::uint64_t error_byte);
 
+/// Macroblock coverage of one picture for conceal_coverage_gaps: one byte
+/// per macroblock in raster order, so tasks decoding distinct rows of one
+/// picture never write the same memory word.
+using MbCoverage = std::vector<std::uint8_t>;
+
 /// Decodes all slices of one picture sequentially. `pic` must be fully
 /// populated (dst + refs). Returns false on any slice error (unless
 /// `opts.conceal_errors`, which patches the slice and keeps going).
@@ -122,11 +127,19 @@ bool decode_picture_slices(std::span<const std::uint8_t> stream,
                            WorkMeter& work,
                            const PictureDecodeOptions& opts);
 
-/// Back-compat overload without observability options.
-bool decode_picture_slices(std::span<const std::uint8_t> stream,
-                           const PictureInfo& info, const PictureContext& pic,
-                           WorkMeter& work, TraceSink* sink = nullptr,
-                           int proc = 0);
+/// The slice loop of decode_picture_slices restricted to one macroblock
+/// row: decodes, in stream order, the slices of `info` indexed on `row`
+/// (every slice when `row` < 0; slices indexed past the last row go with
+/// the last row, and write nothing). Marks the macroblocks written or
+/// concealed in `covered` unless it is empty. The caller conceals the
+/// gaps once every row is done. MPEG-2 slices never leave their row, so
+/// distinct rows of one picture may decode concurrently; an MPEG-1
+/// picture must run with `row` < 0.
+bool decode_picture_row(std::span<const std::uint8_t> stream,
+                        const PictureInfo& info, int row,
+                        const PictureContext& pic, WorkMeter& work,
+                        const PictureDecodeOptions& opts,
+                        MbCoverage& covered);
 
 /// Error concealment: overwrites the macroblock rows of one slice with the
 /// co-located pels of the forward reference (mid-gray when the picture has
@@ -138,15 +151,15 @@ void conceal_slice(const PictureContext& pic, int slice_row);
 /// columns no slice covered.
 void conceal_mb_run(const PictureContext& pic, int row, int col0, int col1);
 
-/// Conceals every macroblock whose bit in `covered` (mb_width * mb_height,
-/// raster order) is false. Damaged streams can leave macroblocks no slice
-/// writes — a destroyed startcode loses a whole slice, a spurious one can
-/// truncate a slice mid-row and still parse "ok" — and those pels would
-/// otherwise keep whatever bytes the recycled pool frame held: output that
-/// depends on pool history, not on the stream. Returns the number of
-/// concealed runs (contiguous per-row gaps).
+/// Conceals every macroblock whose byte in `covered` (mb_width *
+/// mb_height, raster order) is zero. Damaged streams can leave macroblocks
+/// no slice writes — a destroyed startcode loses a whole slice, a spurious
+/// one can truncate a slice mid-row and still parse "ok" — and those pels
+/// would otherwise keep whatever bytes the recycled pool frame held:
+/// output that depends on pool history, not on the stream. Returns the
+/// number of concealed runs (contiguous per-row gaps).
 int conceal_coverage_gaps(const PictureContext& pic,
-                          const std::vector<bool>& covered);
+                          const MbCoverage& covered);
 
 /// A decoded stream in display order.
 struct DecodedStream {

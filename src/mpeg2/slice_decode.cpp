@@ -434,6 +434,12 @@ SliceResult decode_slice(BitReader& br, int slice_row,
   if (br.get_bit() != 0) return res;  // extra_bit_slice must be 0
 
   int mb_address = slice_row * pic.mb_width - 1;  // previous MB address
+  // One past the last macroblock this slice may write: an MPEG-2 slice
+  // starts and ends in its own row (§6.1.2), so an address increment that
+  // leaves the row is damage and fails the slice before it writes there.
+  // MPEG-1 slices may span rows, up to the end of the picture.
+  const int mb_end =
+      pic.mpeg1 ? pic.mb_width * pic.mb_height : (slice_row + 1) * pic.mb_width;
   bool first_mb = true;
 
   for (;;) {
@@ -464,7 +470,7 @@ SliceResult decode_slice(BitReader& br, int slice_row,
       mb_address += increment;
       first_mb = false;
     } else {
-      if (mb_address + increment >= pic.mb_width * pic.mb_height) return res;
+      if (mb_address + increment >= mb_end) return res;
       for (int s = 1; s < increment; ++s) {
         if (!decode_skipped(pic, st, mb_address + s, res.work, sink, proc)) {
           return res;
@@ -473,9 +479,7 @@ SliceResult decode_slice(BitReader& br, int slice_row,
       }
       mb_address += increment;
     }
-    if (mb_address < 0 || mb_address >= pic.mb_width * pic.mb_height) {
-      return res;
-    }
+    if (mb_address < 0 || mb_address >= mb_end) return res;
     if (res.first_mb < 0) res.first_mb = mb_address;
     const int mb_x = mb_address % pic.mb_width;
     const int mb_y = mb_address / pic.mb_width;

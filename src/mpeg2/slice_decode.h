@@ -93,8 +93,10 @@ struct SliceResult {
 /// (i.e. `br` is positioned at quantiser_scale_code). `slice_row` is the
 /// macroblock row encoded in the startcode (slice_vertical_position - 1).
 ///
-/// Thread-safety: concurrent calls must target distinct slices; each call
-/// writes only the destination macroblocks addressed by its own slice.
+/// Thread-safety: an MPEG-2 slice writes only macroblocks of `slice_row`
+/// (a slice whose addresses leave the row fails before writing outside
+/// it), so concurrent calls on distinct rows never share a macroblock. An
+/// MPEG-1 slice may write up to the end of the picture.
 [[nodiscard]] SliceResult decode_slice(BitReader& br, int slice_row,
                                        const PictureContext& pic,
                                        TraceSink* sink = nullptr,

@@ -215,7 +215,6 @@ LiveSnapshot LiveSampler::build_snapshot(std::int64_t now_ns) {
   snapshot.displayed = display.pictures;
   newest_progress = std::max(newest_progress, scan.last_progress_ns);
   newest_progress = std::max(newest_progress, display.last_progress_ns);
-  snapshot.pictures += telemetry_.concealed_pictures();
   snapshot.queue_depth = telemetry_.queue_depth();
   snapshot.stall_ms =
       newest_progress >= 0

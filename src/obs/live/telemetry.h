@@ -232,9 +232,8 @@ class LiveTelemetry {
     return frame_latency_;
   }
 
-  /// Current depth of the decode work queue (GOP tasks queued, or slice-
-  /// decoder pictures appended but not yet complete). Multi-writer scalar,
-  /// so it lives outside the cells.
+  /// Current depth of the decode work queue (GOPs scanned but not yet
+  /// started). Multi-writer scalar, so it lives outside the cells.
   void add_queue_depth(std::int64_t d) {
     queue_depth_.fetch_add(d, std::memory_order_relaxed);
   }
@@ -255,16 +254,6 @@ class LiveTelemetry {
   }
   [[nodiscard]] unsigned counter_mask() const { return counter_mask_; }
 
-  /// Whole pictures concealed outside any single worker's ownership (the
-  /// slice coordinator synthesizes them under its scheduling mutex, from
-  /// whichever thread gets there first).
-  void add_concealed_picture() {
-    concealed_pictures_.fetch_add(1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t concealed_pictures() const {
-    return concealed_pictures_.load(std::memory_order_relaxed);
-  }
-
  private:
   int workers_;
   WallTimer timer_;
@@ -272,7 +261,6 @@ class LiveTelemetry {
   unsigned counter_mask_ = 0;
   Histogram frame_latency_;
   std::atomic<std::int64_t> queue_depth_{0};
-  std::atomic<std::int64_t> concealed_pictures_{0};
   // workers_ worker cells, then scan, then display.
   std::vector<TelemetryCell> cells_;
 };

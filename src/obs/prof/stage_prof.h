@@ -115,8 +115,8 @@ struct ProfSummary {
 /// sequential runs re-binding the same slots).
 class StageProfiler {
  public:
-  /// `slots` is the maximum concurrently-bound threads (workers, plus the
-  /// slice decoder's scan thread). `source` must not be null.
+  /// `slots` is the maximum concurrently-bound threads (one per worker;
+  /// workers also run the scan tasks). `source` must not be null.
   StageProfiler(std::unique_ptr<CounterSource> source, int slots);
   ~StageProfiler();
 

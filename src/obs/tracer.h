@@ -43,8 +43,8 @@ enum class SpanKind : std::uint8_t {
   kQueueWait,     // consumer side: task queue empty (scan not ahead yet,
                   // or the stream has fewer tasks than workers)
   kBarrierWait,   // blocked on a data dependency / picture barrier
-  kBackpressure,  // the slice decoder's (or its simulation's) open-picture
-                  // bound reached (memory backpressure)
+  kBackpressure,  // the slice simulation's open-picture bound reached
+                  // (memory backpressure)
 };
 
 /// Stable lower-case name ("slice", "wait", "wait.queue", ...) used as the

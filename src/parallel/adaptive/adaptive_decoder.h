@@ -71,8 +71,8 @@ struct AdaptiveDecoderConfig {
   std::int64_t watchdog_ns = 0;
   /// Tracks frame-buffer bytes.
   mpeg2::MemoryTracker* tracker = nullptr;
-  /// Optional span tracer: needs `workers + 1` tracks (track w = worker w,
-  /// track `workers` = the scan process). Null = zero-cost no-op.
+  /// Optional span tracer: needs `workers` tracks (track w = worker w,
+  /// which also runs scan tasks). Null = zero-cost no-op.
   obs::Tracer* tracer = nullptr;
   /// Optional counter/histogram registry ("adaptive.*" instruments plus
   /// the shared "decode.*"/"recover.*" families).
@@ -80,7 +80,7 @@ struct AdaptiveDecoderConfig {
   /// Optional live telemetry surface; must be sized with at least
   /// `workers` worker cells (an undersized instance is ignored).
   obs::live::LiveTelemetry* live = nullptr;
-  /// Optional hardware-counter stage profiler (`workers + 1` slots).
+  /// Optional hardware-counter stage profiler (`workers` slots).
   obs::prof::StageProfiler* prof = nullptr;
 };
 

@@ -36,13 +36,6 @@ void DisplaySink::push(mpeg2::FramePtr frame) {
   if (total_known_ && next_ >= total_) done_cv_.notify_all();
 }
 
-void DisplaySink::set_total(int total_pictures) {
-  const std::scoped_lock lock(mutex_);
-  total_ = total_pictures;
-  total_known_ = true;
-  if (next_ >= total_) done_cv_.notify_all();
-}
-
 void DisplaySink::wait_done() {
   std::unique_lock lock(mutex_);
   done_cv_.wait(lock, [this] { return total_known_ && next_ >= total_; });

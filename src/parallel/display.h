@@ -30,14 +30,11 @@ class DisplaySink {
         total_known_(true),
         on_frame_(std::move(on_frame)) {}
 
-  /// Streaming form: the picture count is unknown until the scan process
-  /// finishes. wait_done() blocks until set_total() has been called and
-  /// that many pictures were emitted.
+  /// Streaming form: the picture count is unknown (the engine's scan
+  /// tasks index the stream as it decodes), so only emitted() tells how
+  /// far the display got; wait_done() is for the counted form.
   explicit DisplaySink(FrameCallback on_frame)
       : on_frame_(std::move(on_frame)) {}
-
-  /// Fixes the picture count (streaming constructor only; call once).
-  void set_total(int total_pictures);
 
   /// Thread-safe: inserts a completed picture (display_index must be set)
   /// and emits every picture that is now next in display order. The
@@ -71,8 +68,8 @@ class DisplaySink {
   [[nodiscard]] int emitted();
 
  private:
-  int total_ = 0;            // guarded by mutex_ until total_known_
-  bool total_known_ = false; // guarded by mutex_
+  int total_ = 0;
+  bool total_known_ = false;
   FrameCallback on_frame_;
   std::mutex mutex_;
   std::condition_variable done_cv_;

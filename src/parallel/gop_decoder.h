@@ -59,8 +59,8 @@ struct GopDecoderConfig {
   std::int64_t watchdog_ns = 0;
   /// Tracks frame-buffer bytes (for the Fig. 8 memory measurements).
   mpeg2::MemoryTracker* tracker = nullptr;
-  /// Optional span tracer: needs `workers + 1` tracks (track w = worker w,
-  /// track `workers` = the scan process). Null = zero-cost no-op.
+  /// Optional span tracer: needs `workers` tracks (track w = worker w,
+  /// which also runs scan tasks). Null = zero-cost no-op.
   obs::Tracer* tracer = nullptr;
   /// Optional counter/histogram registry ("gop.*" instruments).
   obs::Registry* metrics = nullptr;
@@ -71,10 +71,10 @@ struct GopDecoderConfig {
   /// ignored rather than written out of range. Null = zero cost.
   obs::live::LiveTelemetry* live = nullptr;
   /// Optional hardware-counter stage profiler (docs/OBSERVABILITY.md,
-  /// "Hardware profiling"): needs `workers + 1` slots (slot w = worker w,
-  /// slot `workers` = the scan process). Workers bind per-thread counters
-  /// and the mpeg2 core attributes them per stage; per-task counter
-  /// deltas flow into `live` when both are set. Null = zero cost.
+  /// "Hardware profiling"): needs `workers` slots (slot w = worker w,
+  /// which charges its scan tasks there too). Workers bind per-thread
+  /// counters and the mpeg2 core attributes them per stage; per-task
+  /// counter deltas flow into `live` when both are set. Null = zero cost.
   obs::prof::StageProfiler* prof = nullptr;
 };
 

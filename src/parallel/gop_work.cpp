@@ -9,41 +9,31 @@
 
 namespace pmp2::parallel {
 
-mpeg2::FramePtr conceal_whole_picture(const mpeg2::StreamStructure& structure,
-                                      const mpeg2::PictureInfo& info,
-                                      int display_index,
-                                      const mpeg2::FramePtr& ref,
-                                      mpeg2::FramePool& pool) {
-  mpeg2::FramePtr dst = pool.acquire();
-  dst->type = info.type;
-  dst->temporal_reference = info.temporal_reference;
-  dst->display_index = display_index;
-  mpeg2::PictureContext pc;
-  pc.seq = &structure.seq;
-  pc.mb_width = structure.mb_width();
-  pc.mb_height = structure.mb_height();
-  pc.dst = dst.get();
-  pc.fwd_ref = ref ? ref.get() : nullptr;
-  for (int row = 0; row < pc.mb_height; ++row) mpeg2::conceal_slice(pc, row);
-  return dst;
-}
-
-PictureOutcome decode_one_picture(std::span<const std::uint8_t> stream,
-                                  const mpeg2::StreamStructure& structure,
-                                  const mpeg2::PictureInfo& info,
-                                  int gop_index, int pic_index,
-                                  int display_base, int ranked_display_index,
-                                  const mpeg2::FramePtr& fwd_ref,
-                                  const mpeg2::FramePtr& bwd_ref,
-                                  mpeg2::FramePool& pool, DisplaySink& display,
-                                  WorkerStats& stats, const GopObs& gobs,
-                                  int worker) {
-  PictureOutcome out;
-  const std::int64_t live_begin_ns = gobs.live ? gobs.live->now_ns() : 0;
+bool open_picture(std::span<const std::uint8_t> stream,
+                  const mpeg2::StreamStructure& structure,
+                  const mpeg2::PictureInfo& info, int gop_index,
+                  int pic_index, int display_base, int ranked_display_index,
+                  const mpeg2::FramePtr& fwd_ref,
+                  const mpeg2::FramePtr& bwd_ref, mpeg2::FramePool& pool,
+                  DisplaySink& display, const GopObs& gobs, int worker,
+                  OpenPicture& pic, PictureOutcome& out) {
+  pic.live_begin_ns = gobs.live ? gobs.live->now_ns() : 0;
+  mpeg2::PictureContext& ctx = pic.ctx;
+  ctx.seq = &structure.seq;
+  ctx.mpeg1 = structure.mpeg1;
+  ctx.mb_width = structure.mb_width();
+  ctx.mb_height = structure.mb_height();
   auto quarantine_picture = [&](RecoveryCause cause) {
-    mpeg2::FramePtr dst = conceal_whole_picture(
-        structure, info, ranked_display_index, bwd_ref ? bwd_ref : fwd_ref,
-        pool);
+    if (!gobs.quarantine) return false;
+    mpeg2::FramePtr dst = pool.acquire();
+    dst->type = info.type;
+    dst->temporal_reference = info.temporal_reference;
+    dst->display_index = ranked_display_index;
+    ctx.dst = dst.get();
+    ctx.fwd_ref = bwd_ref ? bwd_ref.get() : fwd_ref.get();
+    for (int row = 0; row < ctx.mb_height; ++row) {
+      mpeg2::conceal_slice(ctx, row);
+    }
     if (gobs.errors) {
       gobs.errors->add({cause, gop_index, pic_index, info.offset});
     }
@@ -60,95 +50,127 @@ PictureOutcome decode_one_picture(std::span<const std::uint8_t> stream,
       lw.add_pictures().add_quarantined().set_last_progress_ns(
           gobs.live->now_ns());
     }
+    return false;
   };
 
   pmp2::BitReader br(stream);
   br.seek_bytes(info.offset);
-  mpeg2::PictureContext pic;
-  pic.seq = &structure.seq;
-  pic.mpeg1 = structure.mpeg1;
-  if (info.slices.empty()) {
-    // A picture whose every slice startcode was destroyed: nothing to
-    // decode, so the whole frame must be synthesized.
-    if (!gobs.quarantine) return out;
-    quarantine_picture(RecoveryCause::kPictureHeader);
-    return out;
-  }
-  if (!mpeg2::parse_picture_headers(br, pic.header, pic.ext)) {
-    if (!gobs.quarantine) return out;
-    quarantine_picture(RecoveryCause::kPictureHeader);
-    return out;
-  }
-  pic.mb_width = structure.mb_width();
-  pic.mb_height = structure.mb_height();
-
-  if (pic.header.type != mpeg2::PictureType::kI) {
-    const mpeg2::FramePtr& past =
-        pic.header.type == mpeg2::PictureType::kP ? bwd_ref : fwd_ref;
-    if (!past || (pic.header.type == mpeg2::PictureType::kB && !bwd_ref)) {
-      if (!gobs.quarantine) return out;  // GOP not closed/self-contained
-      quarantine_picture(RecoveryCause::kMissingReference);
-      return out;
-    }
+  // A picture whose every slice startcode was destroyed has nothing to
+  // decode, so the whole frame must be synthesized.
+  if (info.slices.empty() ||
+      !mpeg2::parse_picture_headers(br, ctx.header, ctx.ext)) {
+    return quarantine_picture(RecoveryCause::kPictureHeader);
   }
 
-  mpeg2::FramePtr dst = pool.acquire();
-  dst->type = pic.header.type;
-  dst->temporal_reference = pic.header.temporal_reference;
-  dst->display_index = gobs.quarantine
-                           ? ranked_display_index
-                           : display_base + pic.header.temporal_reference;
-  pic.dst = dst.get();
-  pic.dst_id = dst->trace_id();
-  if (pic.header.type != mpeg2::PictureType::kI) {
-    const mpeg2::FramePtr& past =
-        pic.header.type == mpeg2::PictureType::kP ? bwd_ref : fwd_ref;
-    pic.fwd_ref = past.get();
-    pic.fwd_id = past->trace_id();
-    if (pic.header.type == mpeg2::PictureType::kB) {
-      pic.bwd_ref = bwd_ref.get();
-      pic.bwd_id = bwd_ref->trace_id();
+  const mpeg2::PictureType type = ctx.header.type;
+  const mpeg2::FramePtr& past =
+      type == mpeg2::PictureType::kP ? bwd_ref : fwd_ref;
+  if (type != mpeg2::PictureType::kI &&
+      (!past || (type == mpeg2::PictureType::kB && !bwd_ref))) {
+    // GOP not closed/self-contained.
+    return quarantine_picture(RecoveryCause::kMissingReference);
+  }
+
+  pic.frame = pool.acquire();
+  mpeg2::Frame& dst = *pic.frame;
+  dst.type = type;
+  dst.temporal_reference = ctx.header.temporal_reference;
+  dst.display_index = gobs.quarantine
+                          ? ranked_display_index
+                          : display_base + ctx.header.temporal_reference;
+  ctx.dst = &dst;
+  ctx.dst_id = dst.trace_id();
+  if (type != mpeg2::PictureType::kI) {
+    ctx.fwd_ref = past.get();
+    ctx.fwd_id = past->trace_id();
+    if (type == mpeg2::PictureType::kB) {
+      ctx.bwd_ref = bwd_ref.get();
+      ctx.bwd_id = bwd_ref->trace_id();
     }
   }
-  int concealed_here = 0;
+  if (gobs.conceal_errors || gobs.quarantine) {
+    pic.covered.assign(static_cast<std::size_t>(ctx.mb_width) *
+                           static_cast<std::size_t>(ctx.mb_height),
+                       0);
+  }
+  return true;
+}
+
+int decode_open_rows(std::span<const std::uint8_t> stream,
+                     const mpeg2::PictureInfo& info, int pic_index, int row,
+                     OpenPicture& pic, WorkerStats& stats, const GopObs& gobs,
+                     int worker) {
+  int concealed = 0;
   mpeg2::PictureDecodeOptions opts;
   opts.tracer = gobs.tracer;
   opts.track = worker;
   opts.picture_id = pic_index;
   opts.conceal_errors = gobs.conceal_errors || gobs.quarantine;
-  opts.concealed = &concealed_here;
+  opts.concealed = &concealed;
   opts.resync = gobs.h_resync;
-  {
-    const std::int64_t pic_begin = gobs.tracer ? gobs.tracer->now_ns() : 0;
-    const bool ok =
-        mpeg2::decode_picture_slices(stream, info, pic, stats.work, opts);
-    if (gobs.tracer) {
-      gobs.tracer->emit(worker, obs::SpanKind::kPicture, pic_begin,
-                        gobs.tracer->now_ns(), pic_index, -1, gop_index);
-    }
-    if (!ok) return out;  // unreachable when concealing
+  const bool ok = mpeg2::decode_picture_row(stream, info, row, pic.ctx,
+                                            stats.work, opts, pic.covered);
+  return ok ? concealed : -1;
+}
+
+PictureOutcome close_picture(OpenPicture& pic, int concealed,
+                             const mpeg2::PictureInfo& info, int gop_index,
+                             int pic_index, DisplaySink& display,
+                             const GopObs& gobs, int worker) {
+  if (!pic.covered.empty()) {
+    concealed += mpeg2::conceal_coverage_gaps(pic.ctx, pic.covered);
   }
-  out.concealed_slices = concealed_here;
-  if (concealed_here > 0) {
+  PictureOutcome out;
+  out.concealed_slices = concealed;
+  if (concealed > 0) {
     if (gobs.concealed) {
-      gobs.concealed->fetch_add(concealed_here, std::memory_order_relaxed);
+      gobs.concealed->fetch_add(concealed, std::memory_order_relaxed);
     }
     if (gobs.quarantine && gobs.errors) {
       gobs.errors->add(
           {RecoveryCause::kSliceError, gop_index, pic_index, info.offset});
     }
   }
-  out.frame = dst;
-  display.push(std::move(dst));
+  out.frame = pic.frame;
+  display.push(std::move(pic.frame));
   if (gobs.live) {
     const std::int64_t now = gobs.live->now_ns();
-    const std::int64_t latency = now - live_begin_ns;
+    const std::int64_t latency = now - pic.live_begin_ns;
     gobs.live->frame_latency().record(latency);
     obs::live::TelemetryCell::Write lw(gobs.live->worker(worker));
     lw.add_pictures().set_last_latency_ns(latency).set_last_progress_ns(now);
-    if (concealed_here > 0) lw.add_concealed(concealed_here);
+    if (concealed > 0) lw.add_concealed(concealed);
   }
   return out;
+}
+
+PictureOutcome decode_one_picture(std::span<const std::uint8_t> stream,
+                                  const mpeg2::StreamStructure& structure,
+                                  const mpeg2::PictureInfo& info,
+                                  int gop_index, int pic_index,
+                                  int display_base, int ranked_display_index,
+                                  const mpeg2::FramePtr& fwd_ref,
+                                  const mpeg2::FramePtr& bwd_ref,
+                                  mpeg2::FramePool& pool, DisplaySink& display,
+                                  WorkerStats& stats, const GopObs& gobs,
+                                  int worker) {
+  PictureOutcome out;
+  OpenPicture pic;
+  if (!open_picture(stream, structure, info, gop_index, pic_index,
+                    display_base, ranked_display_index, fwd_ref, bwd_ref,
+                    pool, display, gobs, worker, pic, out)) {
+    return out;
+  }
+  const std::int64_t pic_begin = gobs.tracer ? gobs.tracer->now_ns() : 0;
+  const int concealed =
+      decode_open_rows(stream, info, pic_index, -1, pic, stats, gobs, worker);
+  if (gobs.tracer) {
+    gobs.tracer->emit(worker, obs::SpanKind::kPicture, pic_begin,
+                      gobs.tracer->now_ns(), pic_index, -1, gop_index);
+  }
+  if (concealed < 0) return out;  // unreachable when concealing
+  return close_picture(pic, concealed, info, gop_index, pic_index, display,
+                       gobs, worker);
 }
 
 GopOutcome decode_gop(std::span<const std::uint8_t> stream,
@@ -157,7 +179,7 @@ GopOutcome decode_gop(std::span<const std::uint8_t> stream,
                       DisplaySink& display, WorkerStats& stats,
                       const GopObs& gobs, int worker) {
   mpeg2::FramePtr fwd_ref, bwd_ref;
-  int pic_index = task.decode_base;
+  int pic_index = task.display_base;
   GopOutcome outcome;
   std::vector<int> ranks;
   if (gobs.quarantine) ranks = mpeg2::display_ranks(*task.info);

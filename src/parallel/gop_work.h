@@ -1,10 +1,10 @@
-// Whole-GOP and per-picture decode core of the DecodeServer engine
-// (src/serve/server.cpp), which runs the GOP-parallel and adaptive
-// decoders as one-session façades. A closed GOP decodes
+// Whole-GOP, per-picture and per-row decode core of the DecodeServer
+// engine (src/serve/server.cpp), which runs the GOP-parallel, adaptive
+// and slice-parallel decoders as one-session façades. A closed GOP decodes
 // end to end with private reference frames; with quarantine on, every
 // undecodable picture is synthesized (concealed) so the GOP still delivers
 // its full picture count and sibling GOPs stay untouched. Keeping this in
-// one translation unit is what makes whole-GOP and exploded dispatch
+// one translation unit is what makes whole-GOP, exploded and row dispatch
 // bit-exact with each other by construction.
 #pragma once
 
@@ -31,8 +31,8 @@ namespace pmp2::parallel {
 struct GopTask {
   const mpeg2::GopInfo* info = nullptr;
   int index = 0;         // GOP ordinal within the stream
-  int display_base = 0;  // global display index of this GOP's first picture
-  int decode_base = 0;   // global decode index of this GOP's first picture
+  int display_base = 0;  // global display (and decode) index of this GOP's
+                         // first picture
 };
 
 /// Per-run observability/recovery context shared by the GOP workers.
@@ -48,13 +48,6 @@ struct GopObs {
   obs::live::LiveTelemetry* live = nullptr;
 };
 
-/// Quarantine fallback for one undecodable picture: synthesize a concealed
-/// frame (copy of `ref`, mid-gray without one) so the pipeline still
-/// delivers a frame for every indexed picture.
-[[nodiscard]] mpeg2::FramePtr conceal_whole_picture(
-    const mpeg2::StreamStructure& structure, const mpeg2::PictureInfo& info,
-    int display_index, const mpeg2::FramePtr& ref, mpeg2::FramePool& pool);
-
 /// Result of decoding (or quarantining) one picture of a closed GOP.
 struct PictureOutcome {
   mpeg2::FramePtr frame;     // null only when recovery is off and decode
@@ -63,15 +56,59 @@ struct PictureOutcome {
   int concealed_slices = 0;  // slices concealed within a successful decode
 };
 
+/// A picture between open_picture and close_picture. Tasks decoding
+/// distinct rows of one open picture share it: each writes only its own
+/// macroblock rows of `frame` and its own bytes of `covered`.
+struct OpenPicture {
+  mpeg2::PictureContext ctx;
+  mpeg2::FramePtr frame;     // the destination
+  mpeg2::MbCoverage covered;  // conceal mode only
+  std::int64_t live_begin_ns = 0;
+};
+
+/// Picture open, the first step of decode_one_picture: parses the
+/// headers, resolves the references and acquires the destination frame
+/// (arguments as for decode_one_picture). Returns true when `pic` is open:
+/// decode its rows with decode_open_rows, then call close_picture.
+/// Otherwise `out` is final: with quarantine the picture was synthesized
+/// (a copy of its newest reference, mid-gray without one) and pushed to
+/// the display; with recovery off `out.frame` is null.
+[[nodiscard]] bool open_picture(
+    std::span<const std::uint8_t> stream,
+    const mpeg2::StreamStructure& structure, const mpeg2::PictureInfo& info,
+    int gop_index, int pic_index, int display_base, int ranked_display_index,
+    const mpeg2::FramePtr& fwd_ref, const mpeg2::FramePtr& bwd_ref,
+    mpeg2::FramePool& pool, DisplaySink& display, const GopObs& gobs,
+    int worker, OpenPicture& pic, PictureOutcome& out);
+
+/// Decodes the slices of one macroblock row of an open picture (every row
+/// when `row` < 0; see mpeg2::decode_picture_row). Returns the number of
+/// slices concealed, or -1 on a slice error with concealment off.
+[[nodiscard]] int decode_open_rows(std::span<const std::uint8_t> stream,
+                                   const mpeg2::PictureInfo& info,
+                                   int pic_index, int row, OpenPicture& pic,
+                                   WorkerStats& stats, const GopObs& gobs,
+                                   int worker);
+
+/// Picture close, once every row is decoded: conceals the macroblocks no
+/// slice wrote, accounts `concealed` slices (the sum of decode_open_rows),
+/// pushes the frame to the display and records the picture's telemetry.
+[[nodiscard]] PictureOutcome close_picture(OpenPicture& pic, int concealed,
+                                           const mpeg2::PictureInfo& info,
+                                           int gop_index, int pic_index,
+                                           DisplaySink& display,
+                                           const GopObs& gobs, int worker);
+
 /// Decodes one picture with explicit GOP-private references, pushing the
 /// finished (or concealed) frame to the display sink. `fwd_ref`/`bwd_ref`
 /// follow decode_gop's rolling convention: bwd = newest reference before
 /// this picture, fwd = the one before that (P predicts from bwd; B from
 /// fwd and bwd; quarantine conceals from bwd, falling back to fwd). With
 /// quarantine on, `ranked_display_index` carries the display_ranks()-based
-/// slot; otherwise the parsed temporal reference decides. Both the
-/// sequential GOP task loop and the engine's exploded path call this one
-/// function, which is what keeps them byte-identical per picture.
+/// slot; otherwise the parsed temporal reference decides. This is
+/// open_picture, decode_open_rows over every row and close_picture in one
+/// task; the engine's row tasks run the same three steps, which is what
+/// keeps whole-GOP, exploded and row dispatch byte-identical per picture.
 [[nodiscard]] PictureOutcome decode_one_picture(
     std::span<const std::uint8_t> stream,
     const mpeg2::StreamStructure& structure, const mpeg2::PictureInfo& info,

@@ -1,22 +1,32 @@
-// Fine-grained parallel decoder: one task per slice (paper §5.2).
+// Fine-grained parallel decoder: macroblock-row tasks (paper §5.2).
 //
-// A 2-D task structure (pictures -> slices) feeds the workers, as in the
+// A 2-D task structure (pictures -> rows) feeds the workers, as in the
 // paper. Two scheduling policies:
 //
-//  * kSimple   — all workers decode slices of the current picture and
+//  * kSimple   — all workers decode rows of the current picture and
 //    synchronize at *every* picture boundary. Speedup is limited by
-//    ceil(slices / P) steps per picture (the "knees" of Fig. 11; 352x240 has
-//    15 slices, so no gain past 8 workers).
+//    ceil(rows / P) steps per picture (the "knees" of Fig. 11; 352x240 has
+//    15 rows, so no gain past 8 workers).
 //  * kImproved — workers synchronize only where a data dependency exists:
 //    a picture may open as soon as its reference pictures are complete, so
 //    consecutive B pictures (and the next reference) decode concurrently.
 //    This is the paper's "synchronize only at the end of I/P pictures".
 //
-// Correctness relies on the standard's slice independence: predictors reset
-// at slice start, and distinct slices write disjoint macroblock rows.
+// A one-session façade over the DecodeServer engine (src/serve/engine.h;
+// the definition lives in src/serve/facades.cpp and links via pmp2_serve):
+// the engine's workers run the session's scan tasks, open each picture in
+// decode order, and decode it as one task per macroblock row, which
+// decodes every slice indexed on that row in stream order. An MPEG-2
+// slice never leaves its row (a damaged one that tries fails and is
+// concealed), so distinct rows write disjoint macroblocks; an MPEG-1
+// picture, whose slices may span rows, is one task. Opening and closing a
+// picture run the same code as the GOP and adaptive decoders, so all
+// three produce the same bytes.
+//
 // Memory stays at a handful of pictures regardless of worker count or GOP
 // size — the paper's headline advantage over the GOP decoder — and closed
-// GOPs are NOT required.
+// GOPs are NOT required: without quarantine an open GOP's leading
+// pictures take the previous GOP's references.
 #pragma once
 
 #include <cstdint>
@@ -60,30 +70,29 @@ struct SliceDecoderConfig {
   /// pictures become whole concealed frames instead of aborting the run,
   /// damage is logged per GOP in RunResult::errors, and a truncated
   /// structure scan keeps the scanned prefix. Implies conceal_errors.
-  /// With closed GOPs every undamaged GOP decodes bit-exact (references
-  /// never cross a closed-GOP boundary).
+  /// Every GOP then decodes with GOP-private references, as in the GOP
+  /// decoder, so every undamaged GOP decodes bit-exact.
   bool quarantine_gops = false;
-  /// Coordinator watchdog: if no scheduling progress happens for this
-  /// long while work is outstanding, the run aborts (RunResult::hung)
-  /// instead of deadlocking on a poisoned task. 0 = off.
+  /// Watchdog: fail the run (RunResult::hung) instead of blocking forever
+  /// if the engine stops progressing for this long. 0 = off.
   std::int64_t watchdog_ns = 0;
   mpeg2::MemoryTracker* tracker = nullptr;
-  /// Optional span tracer: needs `workers + 1` tracks (track w = worker w,
-  /// track `workers` = the scan process). Null = zero-cost no-op.
+  /// Optional span tracer: needs `workers` tracks (track w = worker w,
+  /// which also runs scan tasks). Null = zero-cost no-op.
   obs::Tracer* tracer = nullptr;
   /// Optional counter/histogram registry ("slice.*" instruments).
   obs::Registry* metrics = nullptr;
   /// Optional live telemetry surface (docs/OBSERVABILITY.md, "Live
-  /// telemetry"): per-worker cells, scan/display cells, open-picture depth
-  /// and the shared frame-latency histogram, updated in flight. Must be
+  /// telemetry"): per-worker cells, scan/display cells, queue depth and
+  /// the shared frame-latency histogram, updated in flight. Must be
   /// sized with at least `workers` worker cells — an undersized instance
   /// is ignored rather than written out of range. Null = zero cost.
   obs::live::LiveTelemetry* live = nullptr;
   /// Optional hardware-counter stage profiler (docs/OBSERVABILITY.md,
-  /// "Hardware profiling"): needs `workers + 1` slots (slot w = worker w,
-  /// slot `workers` = the scan process). Workers bind per-thread counters
-  /// and the mpeg2 core attributes them per stage; per-task counter
-  /// deltas flow into `live` when both are set. Null = zero cost.
+  /// "Hardware profiling"): needs `workers` slots (slot w = worker w,
+  /// which charges its scan tasks there too). Workers bind per-thread
+  /// counters and the mpeg2 core attributes them per stage; per-task
+  /// counter deltas flow into `live` when both are set. Null = zero cost.
   obs::prof::StageProfiler* prof = nullptr;
 };
 

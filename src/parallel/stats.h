@@ -87,7 +87,7 @@ class ErrorLog {
 struct HangEvidence {
   std::string where;           // "display" | "coordinator"
   std::int64_t waited_ns = 0;  // the deadline that expired
-  std::int64_t epoch = -1;     // scheduling epoch (slice coordinator/engine)
+  std::int64_t epoch = -1;     // the engine's scheduling epoch
   int pictures_delivered = 0;  // emitted in display order before the stall
   int pictures_indexed = 0;    // pictures the scan had indexed by then
   [[nodiscard]] std::string to_string() const;

@@ -1,19 +1,11 @@
-// Worker-thread ownership, extracted from the parallel decoders.
-//
-// Every decoder in src/parallel used to spawn and join its own
-// std::jthread vector, which welded worker lifetime to run lifetime — fine
-// for a one-shot decode, wrong for a serving layer where one pool outlives
-// many sessions (src/serve). WorkerPool is that extraction: it owns the
-// threads and nothing else. The work loop stays with the caller (each
-// decoder's claim loop is its scheduling policy), so converting a decoder
-// is purely a change of thread ownership — the loop body, stats wiring and
-// coordinator protocol are untouched, which is what keeps the conversion
-// bit-exact by construction.
+// Worker-thread ownership for the DecodeServer engine (src/serve), whose
+// one pool outlives many sessions: WorkerPool owns the threads and
+// nothing else. The work loop, and the scheduling policy in it, stays with
+// the caller.
 //
 // Lifetime: join() (or the destructor) blocks until every worker body
-// returned. The pool never injects a stop signal of its own — the body's
-// coordinator is responsible for terminating its loop (scan end, abort,
-// watchdog), exactly as before the extraction.
+// returned. The pool never injects a stop signal of its own — the body is
+// responsible for terminating its loop.
 #pragma once
 
 #include <functional>
@@ -31,9 +23,6 @@ class WorkerPool {
 
   WorkerPool() = default;
 
-  /// Spawns `workers` threads immediately, each running `body(w)`.
-  WorkerPool(int workers, WorkerBody body) { start(workers, std::move(body)); }
-
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
@@ -44,8 +33,6 @@ class WorkerPool {
   /// Blocks until every worker body returned, then releases the threads.
   /// Idempotent; called by the destructor.
   void join();
-
-  [[nodiscard]] int size() const { return static_cast<int>(threads_.size()); }
 
   ~WorkerPool() { join(); }
 

@@ -1,8 +1,9 @@
 // One-session entry into the DecodeServer engine, for the single-stream
-// decoder façades (GopParallelDecoder, AdaptiveDecoder — src/serve/
-// facades.cpp). Not part of the public serving API: the hooks below are
-// how a façade's observability and delivery options reach the engine's
-// claim loop, once, without widening ServerConfig or SessionConfig.
+// decoder façades (GopParallelDecoder, AdaptiveDecoder,
+// SliceParallelDecoder — src/serve/facades.cpp). Not part of the public
+// serving API: the hooks below are how a façade's observability and
+// delivery options reach the engine's claim loop, once, without widening
+// ServerConfig or SessionConfig.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +30,21 @@ class StageProfiler;
 
 namespace pmp2::serve::detail {
 
-/// How the engine dispatches a popped GOP. kWholeGop never explodes (the
-/// paper's §5.1 GOP decoder); kAdaptive asks sched::should_explode.
-enum class Granularity : std::uint8_t { kAdaptive, kWholeGop };
+/// How the engine dispatches a session's GOPs. kWholeGop never explodes
+/// (the paper's §5.1 GOP decoder); kAdaptive asks sched::should_explode;
+/// kSlice opens pictures in decode order and decodes each as one task per
+/// macroblock row (the paper's §5.2 slice decoder; an MPEG-1 picture,
+/// whose slices may span rows, is one task).
+enum class Granularity : std::uint8_t { kAdaptive, kWholeGop, kSlice };
 
 /// Everything a façade adds to a plain server session. Every pointer may
 /// be null (zero cost); `live`, when set, replaces the session's own
 /// telemetry surface and must have at least `workers` worker cells.
 struct EngineHooks {
   Granularity granularity = Granularity::kAdaptive;
+  /// kSlice only: pictures open at once (1 is parallel::SlicePolicy::
+  /// kSimple's barrier at every picture).
+  int max_open_pictures = 1;
   parallel::FrameCallback on_frame;  // display-order delivery (may be empty)
   bool conceal_errors = false;       // conceal even without quarantine
   mpeg2::MemoryTracker* tracker = nullptr;

@@ -2,15 +2,18 @@
 // engine (serve/engine.h). decode() builds a private engine with
 // config.workers threads, submits the stream as its only session, waits
 // for it, and maps the SessionResult plus the engine's per-worker stats
-// into RunResult. The two façades differ only in the engine's dispatch
+// into RunResult. The three façades differ only in the engine's dispatch
 // granularity: the GOP decoder never explodes a GOP, the adaptive decoder
-// asks sched::should_explode at every pop.
+// asks sched::should_explode at every pop, and the slice decoder runs
+// every picture as macroblock-row tasks.
+#include <algorithm>
 #include <string>
 
 #include "obs/live/telemetry.h"
 #include "obs/metrics.h"
 #include "parallel/adaptive/adaptive_decoder.h"
 #include "parallel/gop_decoder.h"
+#include "parallel/slice_parallel.h"
 #include "serve/engine.h"
 #include "util/timer.h"
 
@@ -18,25 +21,22 @@ namespace pmp2::parallel {
 
 namespace {
 
-/// Runs one façade decode. `Config` is GopDecoderConfig or
-/// AdaptiveDecoderConfig (the fields both share); `server` carries the
-/// dispatch knobs only the adaptive config has; `prefix` names the
-/// per-task instruments ("gop" or "adaptive").
+/// Runs one façade decode. `Config` is GopDecoderConfig,
+/// AdaptiveDecoderConfig or SliceDecoderConfig (the fields all share);
+/// `server`, `session` and `hooks` carry what only one of them has;
+/// `prefix` names the per-task instruments ("gop", "adaptive", "slice").
 template <typename Config>
 RunResult decode_one_session(std::span<const std::uint8_t> stream,
                              const FrameCallback& on_frame,
                              const Config& config, serve::ServerConfig server,
-                             serve::detail::Granularity granularity,
+                             serve::SessionConfig session,
+                             serve::detail::EngineHooks hooks,
                              const std::string& prefix) {
   WallTimer total_timer;
   server.workers = config.workers;
   server.watchdog_ns = config.watchdog_ns;
-  serve::SessionConfig session;
-  session.max_queued_gops = config.max_queued_gops;
   session.quarantine_gops = config.quarantine_gops;
 
-  serve::detail::EngineHooks hooks;
-  hooks.granularity = granularity;
   hooks.on_frame = on_frame;
   hooks.conceal_errors = config.conceal_errors;
   hooks.tracker = config.tracker;
@@ -114,8 +114,12 @@ RunResult decode_one_session(std::span<const std::uint8_t> stream,
 
 RunResult GopParallelDecoder::decode(std::span<const std::uint8_t> stream,
                                      const FrameCallback& on_frame) {
-  return decode_one_session(stream, on_frame, config_, {},
-                            serve::detail::Granularity::kWholeGop, "gop");
+  serve::SessionConfig session;
+  session.max_queued_gops = config_.max_queued_gops;
+  serve::detail::EngineHooks hooks;
+  hooks.granularity = serve::detail::Granularity::kWholeGop;
+  return decode_one_session(stream, on_frame, config_, {}, session,
+                            std::move(hooks), "gop");
 }
 
 RunResult AdaptiveDecoder::decode(std::span<const std::uint8_t> stream,
@@ -123,9 +127,13 @@ RunResult AdaptiveDecoder::decode(std::span<const std::uint8_t> stream,
   serve::ServerConfig server;
   server.depth_threshold = config_.depth_threshold;
   server.cost_factor = config_.cost_factor;
-  RunResult result =
-      decode_one_session(stream, on_frame, config_, server,
-                         serve::detail::Granularity::kAdaptive, "adaptive");
+  serve::SessionConfig session;
+  session.max_queued_gops = config_.max_queued_gops;
+  serve::detail::EngineHooks hooks;
+  hooks.granularity = serve::detail::Granularity::kAdaptive;
+  RunResult result = decode_one_session(stream, on_frame, config_, server,
+                                        session, std::move(hooks),
+                                        "adaptive");
   if (config_.metrics) {
     obs::Registry& m = *config_.metrics;
     m.counter("adaptive.gop_mode_gops").add(result.gop_mode_gops);
@@ -133,6 +141,25 @@ RunResult AdaptiveDecoder::decode(std::span<const std::uint8_t> stream,
     m.counter("adaptive.pool_hits")
         .add(static_cast<std::int64_t>(result.pool_hits));
     m.counter("adaptive.pool_misses")
+        .add(static_cast<std::int64_t>(result.pool_misses));
+  }
+  return result;
+}
+
+RunResult SliceParallelDecoder::decode(std::span<const std::uint8_t> stream,
+                                       const FrameCallback& on_frame) {
+  serve::detail::EngineHooks hooks;
+  hooks.granularity = serve::detail::Granularity::kSlice;
+  hooks.max_open_pictures = config_.policy == SlicePolicy::kSimple
+                                ? 1
+                                : std::max(1, config_.max_open_pictures);
+  RunResult result = decode_one_session(stream, on_frame, config_, {}, {},
+                                        std::move(hooks), "slice");
+  if (config_.metrics) {
+    obs::Registry& m = *config_.metrics;
+    m.counter("slice.pool_hits")
+        .add(static_cast<std::int64_t>(result.pool_hits));
+    m.counter("slice.pool_misses")
         .add(static_cast<std::int64_t>(result.pool_misses));
   }
   return result;

@@ -53,21 +53,47 @@ struct GopEntry {
   std::int64_t cost_ns = 0;  // accumulated task CPU time (EWMA feedback)
 };
 
+/// One picture under the slice granularity, in session decode order.
+/// Scheduling fields are guarded by the server mutex. `work` is written by
+/// the opening worker before the picture's rows become claimable, then by
+/// row tasks on disjoint rows, then by the worker that closes it.
+struct SlicePic {
+  enum class State : std::uint8_t { kWaiting, kOpening, kOpen, kComplete };
+  GopEntry* gop = nullptr;
+  int pic = 0;      // index within the GOP
+  int index = 0;    // session decode-order index
+  int newest = -1;  // its references, as session indices (-1 none): the
+  int older = -1;   // same chain explode_entry builds within one GOP
+  State state = State::kWaiting;
+  int rows = 1;  // row tasks: one per macroblock row, one for MPEG-1
+  int next_row = 0;
+  int rows_done = 0;
+  int concealed = 0;
+  parallel::OpenPicture work;
+  mpeg2::FramePtr fwd, bwd;  // pinned while open (work.ctx points at them)
+  mpeg2::FramePtr frame;     // a completed reference picture, until retired
+};
+
 struct Session;
 
 /// What one cross-session claim hands a worker: decode a whole GOP, decode
-/// one exploded picture, or scan the session's next GOP. `gop` is resolved
+/// one exploded picture, scan the session's next GOP, or (slice
+/// granularity) open a picture and decode its first row, or decode one
+/// more row of an open picture. `gop` and `slice` are resolved
 /// while the server mutex is held: entries live in a std::deque whose
 /// *element* addresses are stable, but re-indexing the deque unlocked
 /// would race a scan task's concurrent push_back on the deque's internal
-/// block map — workers must go through this pointer, never
-/// s.entries[entry].
+/// block map — workers must go through these pointers, never
+/// s.entries[entry] or s.pics[...].
 struct Claim {
-  enum class Kind { kWholeGop, kPicture, kScan } kind = Kind::kWholeGop;
+  enum class Kind { kWholeGop, kPicture, kScan, kOpen, kRow } kind =
+      Kind::kWholeGop;
   Session* session = nullptr;
   GopEntry* gop = nullptr;
+  SlicePic* slice = nullptr;
   int entry = -1;
   int pic = -1;
+  int row = -1;
   int ranked_display = -1;
   std::int64_t charged_ns = 0;  // predicted cost debited at claim time
   mpeg2::FramePtr fwd, bwd;
@@ -103,6 +129,14 @@ struct Session {
   std::deque<GopEntry> entries;  // stable addresses
   std::deque<int> queue;         // queued whole-GOP entry ids
   std::vector<int> active;       // exploded, incomplete entry ids (sorted)
+  // Slice granularity: scanned pictures in decode order, retired from the
+  // front once complete and no longer referenced (stable addresses).
+  std::deque<SlicePic> pics;
+  int pics_base = 0;   // session index of pics.front()
+  int next_open = 0;   // session index of the next picture to open
+  int open_pics = 0;   // pictures opening or open
+  int chain_newest = -1;  // the reference chain after the last scanned
+  int chain_older = -1;   // picture (session indices)
   int pushed = 0;
   int completed_gops = 0;
   int queued_gops = 0;  // entries sitting in `queue`
@@ -143,6 +177,13 @@ struct Session {
   [[nodiscard]] bool stopped() const {
     return cancel_requested || aborted || hung;
   }
+  [[nodiscard]] int pics_end() const {
+    return pics_base + static_cast<int>(pics.size());
+  }
+  /// Slice granularity: pictures not yet complete.
+  [[nodiscard]] bool pics_pending() const {
+    return next_open < pics_end() || open_pics > 0;
+  }
   /// The scan's backpressure is its claimability: one scan claim at a
   /// time, and only while the queue of unstarted GOPs is below its bound.
   [[nodiscard]] bool scan_claimable() const {
@@ -154,12 +195,13 @@ struct Session {
   [[nodiscard]] bool pending_work() const {
     return state == SessionState::kRunning &&
            (!queue.empty() || !active.empty() || in_flight > 0 ||
-            scan_claimable());
+            pics_pending() || scan_claimable());
   }
   [[nodiscard]] bool runnable() const {
     if (state != SessionState::kRunning || stopped()) return false;
-    // Exploded pictures are refined by pic_ready at claim time.
-    return scan_claimable() || !queue.empty() || !active.empty();
+    // Exploded pictures and rows are refined by has_claimable_locked.
+    return scan_claimable() || !queue.empty() || !active.empty() ||
+           pics_pending();
   }
 };
 
@@ -401,13 +443,12 @@ struct Engine {
 
   /// Drops every unstarted task of `s` so the pool stops serving it:
   /// queued whole GOPs leave the queue, unclaimed pictures of exploded
-  /// GOPs are marked complete without a frame. In-flight tasks finish on
-  /// their own; their frames are released at entry completion as usual.
+  /// GOPs are marked complete without a frame, unopened pictures are
+  /// never opened and unclaimed rows never claimed. In-flight tasks finish
+  /// on their own; their frames are released at entry completion as usual.
   void purge_session_queue_locked(Session& s) {
     queued_total_ -= static_cast<int>(s.queue.size());
-    if (s.live) {
-      s.live->add_queue_depth(-static_cast<std::int64_t>(s.queue.size()));
-    }
+    if (s.live) s.live->add_queue_depth(-s.queued_gops);
     s.queue.clear();
     s.queued_gops = 0;
     for (auto it = s.active.begin(); it != s.active.end();) {
@@ -425,6 +466,17 @@ struct Engine {
       } else {
         ++it;  // in-flight pictures remain; finish_picture completes it
       }
+    }
+    s.next_open = s.pics_end();
+    for (SlicePic& p : s.pics) {
+      // A picture whose claimed rows all finished has nobody left to
+      // complete it; one with rows in flight (or closing) completes on the
+      // last.
+      const int unclaimed = p.rows - p.next_row;
+      if (p.state != SlicePic::State::kOpen || unclaimed == 0) continue;
+      p.next_row = p.rows;
+      p.rows_done += unclaimed;
+      if (p.rows_done == p.rows) complete_slice_pic_locked(s, p, nullptr);
     }
     ++epoch_;
     cv_.notify_all();
@@ -524,13 +576,16 @@ struct Engine {
       return;
     }
     if (!gop.closed) {
-      if (!s.cfg.quarantine_gops) {
+      // Whole-GOP and exploded dispatch need GOP-private references; the
+      // slice granularity carries the chain into an open GOP instead.
+      if (s.cfg.quarantine_gops) {
+        s.errors.add(
+            {parallel::RecoveryCause::kOpenGop, s.pushed, -1, gop.offset});
+      } else if (hooks_.granularity != detail::Granularity::kSlice) {
         s.scan_done = true;
         s.scan_ok = false;
         return;
       }
-      s.errors.add(
-          {parallel::RecoveryCause::kOpenGop, s.pushed, -1, gop.offset});
     }
     push_gop_locked(s, std::move(gop));
   }
@@ -551,13 +606,50 @@ struct Engine {
           static_cast<std::size_t>(s.total_pictures + pics), e.enqueue_ns);
     }
     s.total_pictures += pics;
-    s.queue.push_back(id);
-    ++s.queued_gops;
     ++s.pushed;
-    ++queued_total_;
-    s.live->add_queue_depth(1);
+    if (hooks_.granularity == detail::Granularity::kSlice) {
+      push_slice_pics_locked(s, e);
+    } else {
+      s.queue.push_back(id);
+      ++s.queued_gops;
+      ++queued_total_;
+      s.live->add_queue_depth(1);
+    }
     obs::live::TelemetryCell::Write lw(s.live->scan());
     lw.add_tasks().set_last_progress_ns(s.live->now_ns());
+  }
+
+  /// Slice granularity: appends the GOP's pictures in decode order with
+  /// their reference chain. A closed GOP starts a fresh chain, as on the
+  /// GOP path; so does every GOP under quarantine, whose blast radius is
+  /// one GOP on every path. Without quarantine an open GOP's leading
+  /// pictures take the previous GOP's references. The GOP counts as
+  /// queued (scan backpressure) until its first picture opens.
+  void push_slice_pics_locked(Session& s, GopEntry& e) {
+    if (e.info.pictures.empty()) {
+      ++s.completed_gops;  // nothing to open
+      return;
+    }
+    ++s.queued_gops;
+    s.live->add_queue_depth(1);
+    if (e.info.closed || s.cfg.quarantine_gops) {
+      s.chain_newest = s.chain_older = -1;
+    }
+    if (s.cfg.quarantine_gops) e.ranks = mpeg2::display_ranks(e.info);
+    const int rows = s.structure.mpeg1 ? 1 : s.structure.mb_height();
+    for (std::size_t i = 0; i < e.info.pictures.size(); ++i) {
+      SlicePic& p = s.pics.emplace_back();
+      p.gop = &e;
+      p.pic = static_cast<int>(i);
+      p.index = s.pics_end() - 1;
+      p.newest = s.chain_newest;
+      p.older = s.chain_older;
+      p.rows = rows;
+      if (e.info.pictures[i].type != mpeg2::PictureType::kB) {
+        s.chain_older = s.chain_newest;
+        s.chain_newest = p.index;
+      }
+    }
   }
 
   void record_latency(Session& s, const mpeg2::Frame& frame) {
@@ -672,6 +764,10 @@ struct Engine {
       out.session = &s;
       return true;
     }
+    if (hooks_.granularity == detail::Granularity::kSlice) {
+      claim_slice_locked(s, out);
+      return true;
+    }
     // Ready exploded picture next, lowest entry id (closest to display).
     for (const int g : s.active) {
       GopEntry& e = s.entries[static_cast<std::size_t>(g)];
@@ -693,8 +789,11 @@ struct Engine {
     return true;
   }
 
-  [[nodiscard]] bool has_claimable_locked(const Session& s) const {
+  [[nodiscard]] bool has_claimable_locked(Session& s) const {
     if (s.scan_claimable() || !s.queue.empty()) return true;
+    if (hooks_.granularity == detail::Granularity::kSlice) {
+      return row_source(s) || openable(s);
+    }
     for (const int g : s.active) {
       const GopEntry& e = s.entries[static_cast<std::size_t>(g)];
       for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
@@ -734,10 +833,182 @@ struct Engine {
     const int ol = e.older[static_cast<std::size_t>(i)];
     out.bwd = nw >= 0 ? e.frames[static_cast<std::size_t>(nw)] : nullptr;
     out.fwd = ol >= 0 ? e.frames[static_cast<std::size_t>(ol)] : nullptr;
-    out.ranked_display =
-        s.cfg.quarantine_gops
-            ? e.display_base + e.ranks[static_cast<std::size_t>(i)]
-            : -1;
+    out.ranked_display = ranked_display(s, e, i);
+  }
+
+  /// Picture i's display slot under quarantine (display_ranks), else -1.
+  static int ranked_display(const Session& s, const GopEntry& e, int i) {
+    return s.cfg.quarantine_gops
+               ? e.display_base + e.ranks[static_cast<std::size_t>(i)]
+               : -1;
+  }
+
+  // --- Slice granularity: picture opens and macroblock-row tasks. --------
+
+  /// The lowest open picture with an unclaimed row.
+  static SlicePic* row_source(Session& s) {
+    for (SlicePic& p : s.pics) {
+      if (p.index >= s.next_open) break;
+      if (p.state == SlicePic::State::kOpen && p.next_row < p.rows) return &p;
+    }
+    return nullptr;
+  }
+
+  static bool slice_complete(const Session& s, int index) {
+    return index < s.pics_base ||
+           s.pics[static_cast<std::size_t>(index - s.pics_base)].state ==
+               SlicePic::State::kComplete;
+  }
+
+  /// The next picture in decode order, once it may open: fewer than
+  /// max_open_pictures are open and its references are complete (the
+  /// newest non-B before it always, as pic_ready requires; for a B picture
+  /// the older one too). SlicePolicy::kSimple is max_open_pictures == 1.
+  SlicePic* openable(Session& s) const {
+    if (s.next_open >= s.pics_end() ||
+        s.open_pics >= hooks_.max_open_pictures) {
+      return nullptr;
+    }
+    SlicePic& p = s.pics[static_cast<std::size_t>(s.next_open - s.pics_base)];
+    if (!slice_complete(s, p.newest)) return nullptr;
+    if (p.gop->info.pictures[static_cast<std::size_t>(p.pic)].type ==
+            mpeg2::PictureType::kB &&
+        !slice_complete(s, p.older)) {
+      return nullptr;
+    }
+    return &p;
+  }
+
+  static mpeg2::FramePtr slice_frame(const Session& s, int index) {
+    return index < s.pics_base
+               ? nullptr
+               : s.pics[static_cast<std::size_t>(index - s.pics_base)].frame;
+  }
+
+  /// Rows of open pictures first (frames closest to display), else the
+  /// next picture's open. has_claimable_locked found one of the two.
+  void claim_slice_locked(Session& s, Claim& out) {
+    SlicePic* p = row_source(s);
+    out.kind = Claim::Kind::kRow;
+    if (!p) {
+      p = openable(s);
+      out.kind = Claim::Kind::kOpen;
+      p->state = SlicePic::State::kOpening;
+      ++s.next_open;
+      ++s.open_pics;
+      if (p->pic == 0) {
+        // The GOP leaves the scan's backpressure window.
+        --s.queued_gops;
+        s.live->add_queue_depth(-1);
+      }
+      out.bwd = slice_frame(s, p->newest);
+      out.fwd = slice_frame(s, p->older);
+      out.ranked_display = ranked_display(s, *p->gop, p->pic);
+      ++epoch_;
+      cv_.notify_all();  // the session's scan may be claimable again
+    }
+    out.session = &s;
+    out.gop = p->gop;
+    out.slice = p;
+    out.row = p->next_row++;
+    ++s.in_flight;
+  }
+
+  /// The opener's picture is open: pins its references and makes its
+  /// other rows claimable; the opener decodes row 0 itself. Returns false
+  /// when the session stopped meanwhile: the picture gets no rows, and the
+  /// opener completes it undecoded.
+  bool publish_open(Claim& claim) {
+    const std::scoped_lock lock(mutex_);
+    SlicePic& p = *claim.slice;
+    p.state = SlicePic::State::kOpen;
+    p.fwd = std::move(claim.fwd);
+    p.bwd = std::move(claim.bwd);
+    ++epoch_;
+    if (claim.session->stopped()) {
+      p.next_row = p.rows;
+      p.rows_done = p.rows - 1;
+      return false;
+    }
+    cv_.notify_all();
+    return true;
+  }
+
+  /// A row is decoded: adds its concealed slices (-1: a slice failed with
+  /// concealment off, which aborts the session). Returns true when this
+  /// was the picture's last row; `deliver` then says whether the caller
+  /// closes it, or completes it undelivered (a stopped session).
+  bool finish_row(const Claim& claim, int concealed, bool& deliver) {
+    const std::scoped_lock lock(mutex_);
+    Session& s = *claim.session;
+    SlicePic& p = *claim.slice;
+    p.concealed += std::max(concealed, 0);
+    const bool last = ++p.rows_done == p.rows;
+    if (concealed < 0 && !s.stopped()) abort_session_locked(s);
+    deliver = last && !s.stopped();
+    return last;
+  }
+
+  /// Settles a slice-granularity task. `last` completes the picture with
+  /// `frame`, its delivered frame (null when none was); `failed` (a
+  /// picture that could not open, recovery off) aborts the session.
+  void finish_slice_task(const Claim& claim, std::int64_t task_ns, bool last,
+                         mpeg2::FramePtr frame, bool damaged, bool failed) {
+    const std::scoped_lock lock(mutex_);
+    Session& s = *claim.session;
+    ++epoch_;
+    claim.gop->cost_ns += task_ns;
+    if (last) {
+      complete_slice_pic_locked(s, *claim.slice, std::move(frame), damaged);
+      retire_slice_pics_locked(s);
+    }
+    if (failed && !s.stopped()) abort_session_locked(s);
+    settle_claim_locked(s, claim, task_ns);
+    maybe_finalize_locked(s);
+    cv_.notify_all();
+  }
+
+  /// Marks a picture complete. `frame` is its delivered frame (null when
+  /// nothing was delivered), kept while later pictures may reference it.
+  /// The caller retires pictures once it is done iterating `s.pics`.
+  void complete_slice_pic_locked(Session& s, SlicePic& p,
+                                 mpeg2::FramePtr frame, bool damaged = false) {
+    GopEntry& e = *p.gop;
+    p.state = SlicePic::State::kComplete;
+    --s.open_pics;
+    p.fwd.reset();
+    p.bwd.reset();
+    p.work = {};
+    if (e.info.pictures[static_cast<std::size_t>(p.pic)].type !=
+        mpeg2::PictureType::kB) {
+      p.frame = std::move(frame);
+    }
+    if (damaged) e.damaged = true;
+    if (++e.completed == static_cast<int>(e.info.pictures.size())) {
+      complete_entry_locked(s, e);
+    }
+  }
+
+  /// Drops completed pictures from the front of `s.pics` that no picture
+  /// still to open references. The chain only moves forward, so the next
+  /// picture to open (or, past the scanned ones, the chain itself) holds
+  /// the oldest reference any later picture can take.
+  static void retire_slice_pics_locked(Session& s) {
+    int keep = s.next_open;
+    const SlicePic* next =
+        keep < s.pics_end()
+            ? &s.pics[static_cast<std::size_t>(keep - s.pics_base)]
+            : nullptr;
+    for (const int ref : {next ? next->newest : s.chain_newest,
+                          next ? next->older : s.chain_older}) {
+      if (ref >= 0) keep = std::min(keep, ref);
+    }
+    while (!s.pics.empty() &&
+           s.pics.front().state == SlicePic::State::kComplete &&
+           s.pics.front().index < keep) {
+      s.pics.pop_front();
+      ++s.pics_base;
+    }
   }
 
   /// The dispatch decision, at pop time, with the popped GOP still counted
@@ -854,17 +1125,22 @@ struct Engine {
     e.cost_ns += task_ns;
     if (damaged) e.damaged = true;
     if (++e.completed == static_cast<int>(e.info.pictures.size())) {
-      if (e.damaged) s.quarantined.fetch_add(1, std::memory_order_relaxed);
-      ewma_.observe(e.cost_ns, e.bytes);
-      if (!e.damaged) calibrate_locked(s, e, e.cost_ns);
       const auto it = std::find(s.active.begin(), s.active.end(),
                                 claim.entry);
       if (it != s.active.end()) s.active.erase(it);
-      e.frames.clear();  // return reference frames to the session pool
-      ++s.completed_gops;
+      complete_entry_locked(s, e);
     }
     maybe_finalize_locked(s);
     cv_.notify_all();
+  }
+
+  /// Every picture of an exploded or row-dispatched GOP is complete.
+  void complete_entry_locked(Session& s, GopEntry& e) {
+    if (e.damaged) s.quarantined.fetch_add(1, std::memory_order_relaxed);
+    ewma_.observe(e.cost_ns, e.bytes);
+    if (!e.damaged) calibrate_locked(s, e, e.cost_ns);
+    e.frames.clear();  // return reference frames to the session pool
+    ++s.completed_gops;
   }
 
   /// Feeds one cleanly decoded GOP's measured worker share (decode CPU
@@ -936,9 +1212,10 @@ struct Engine {
       r.checksum = s.display->checksum();
     }
     r.state = s.state;
-    // Teardown order matters for the leak proof: the display's reorder
-    // buffer and the entries' reference frames go back to the pool first,
-    // then the pool's counters are read.
+    // Teardown order matters for the leak proof: the slice pictures' and
+    // the entries' reference frames and the display's reorder buffer go
+    // back to the pool first, then the pool's counters are read.
+    s.pics.clear();
     s.entries.clear();
     s.display.reset();
     if (s.pool) {
@@ -1002,6 +1279,11 @@ struct Engine {
         continue;
       }
       if (hooks_.h_wait) hooks_.h_wait->record(stats.sync_ns - sync_before);
+      if (claim.kind == Claim::Kind::kOpen ||
+          claim.kind == Claim::Kind::kRow) {
+        slice_task(claim, w, stats, prof);
+        continue;
+      }
       Session& s = *claim.session;
       const std::int64_t task_begin = tracer ? tracer->now_ns() : 0;
       ThreadCpuTimer cpu;
@@ -1009,8 +1291,7 @@ struct Engine {
       // here — a scan task may be push_back-ing the deque concurrently.
       if (claim.kind == Claim::Kind::kWholeGop) {
         const GopEntry& e = *claim.gop;
-        const parallel::GopTask task{&e.info, e.index, e.display_base,
-                                     e.display_base};
+        const parallel::GopTask task{&e.info, e.index, e.display_base};
         const parallel::GopOutcome outcome =
             parallel::decode_gop(s.stream, s.structure, task, *s.pool,
                                  *s.display, stats, s.gobs, w);
@@ -1046,6 +1327,57 @@ struct Engine {
       }
     }
     if (prof) obs::prof::StageProfiler::unbind();
+  }
+
+  /// Slice granularity: opens a picture and decodes its first row
+  /// (kOpen), or decodes one more row (kRow). open_picture, decode_open_rows
+  /// and close_picture are decode_one_picture's own three steps, so a
+  /// picture decodes to the same bytes as on the GOP and adaptive paths.
+  /// Whoever finishes a picture's last row closes it.
+  void slice_task(Claim& claim, int w, parallel::WorkerStats& stats,
+                  obs::prof::WorkerProf* prof) {
+    Session& s = *claim.session;
+    SlicePic& p = *claim.slice;
+    const GopEntry& e = *claim.gop;
+    const auto& info = e.info.pictures[static_cast<std::size_t>(p.pic)];
+    const ThreadCpuTimer cpu;
+    bool decode = true;
+    if (claim.kind == Claim::Kind::kOpen) {
+      parallel::PictureOutcome out;
+      if (!parallel::open_picture(s.stream, s.structure, info, e.index,
+                                  p.index, e.display_base,
+                                  claim.ranked_display, claim.fwd, claim.bwd,
+                                  *s.pool, *s.display, s.gobs, w, p.work,
+                                  out)) {
+        // Quarantined (and delivered) or, with recovery off, failed.
+        claim.fwd.reset();
+        claim.bwd.reset();
+        const std::int64_t task_ns = cpu.elapsed_ns();
+        note_task(stats, s, w, task_ns, prof);
+        const bool failed = !out.frame;
+        finish_slice_task(claim, task_ns, /*last=*/true, std::move(out.frame),
+                          out.quarantined, failed);
+        return;
+      }
+      decode = publish_open(claim);
+    }
+    const int concealed =
+        decode ? parallel::decode_open_rows(s.stream, info, p.index,
+                                            p.rows == 1 ? -1 : claim.row,
+                                            p.work, stats, s.gobs, w)
+               : 0;
+    bool deliver = false;
+    const bool last = finish_row(claim, concealed, deliver);
+    parallel::PictureOutcome out;
+    if (deliver) {
+      out = parallel::close_picture(p.work, p.concealed, info, e.index,
+                                    p.index, *s.display, s.gobs, w);
+    }
+    const std::int64_t task_ns = cpu.elapsed_ns();
+    note_task(stats, s, w, task_ns, prof);
+    finish_slice_task(claim, task_ns, last, std::move(out.frame),
+                      out.concealed_slices > 0 && s.cfg.quarantine_gops,
+                      /*failed=*/false);
   }
 
   void note_task(parallel::WorkerStats& stats, Session& s, int w,

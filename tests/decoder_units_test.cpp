@@ -3,6 +3,8 @@
 // structure scanner's GOP/picture bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bitstream/bit_writer.h"
 #include "mpeg2/decoder.h"
 #include "mpeg2/scan_quant.h"
@@ -215,6 +217,85 @@ TEST(BlockDecoder, AlternateScanPlacesCoefficientsDifferently) {
   EXPECT_NE(alt[1], 0);
   EXPECT_EQ(zig[1], 0);
   EXPECT_EQ(alt[9], 0);
+}
+
+// --- decode_slice's row bound (ISO/IEC 13818-2 §6.1.2) ----------------------
+
+/// Slice payload after the startcode: intra macroblocks with DC-only
+/// blocks, each placed by one macroblock_address_increment.
+std::vector<std::uint8_t> intra_slice(const std::vector<int>& increments) {
+  BitWriter bw;
+  bw.put(8, 5);    // quantiser_scale_code
+  bw.put_bit(0);   // extra_bit_slice
+  for (const int increment : increments) {
+    encode_mb_addr_inc(increment).put(bw);
+    encode_mb_type(1, MbFlags::kIntra).put(bw);
+    for (int block = 0; block < 6; ++block) {
+      encode_dct_dc_size(block < 4, 0).put(bw);
+      dct_eob_code(false).put(bw);
+    }
+  }
+  bw.put(0, 32);  // the next startcode's zero prefix ends the slice
+  return bw.take();
+}
+
+/// Rows of `frame` (in macroblocks, all three planes) holding any byte
+/// other than `sentinel`.
+std::vector<int> written_rows(const Frame& frame, std::uint8_t sentinel) {
+  std::vector<int> rows;
+  for (int row = 0; row < frame.mb_height(); ++row) {
+    bool written = false;
+    for (int p = 0; p < 3; ++p) {
+      const int lines = p == 0 ? kMacroblockSize : kMacroblockSize / 2;
+      const int stride = p == 0 ? frame.y_stride() : frame.c_stride();
+      const std::uint8_t* at = frame.plane(p) + row * lines * stride;
+      written |= std::any_of(at, at + lines * stride,
+                             [&](std::uint8_t v) { return v != sentinel; });
+    }
+    if (written) rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST(SliceDecode, AddressLeavingItsRowFailsWithoutWritingOtherRows) {
+  // 4 x 3 macroblocks; every slice below is indexed on row 1 (addresses
+  // 4..7). Increments that land on row 2 must fail before writing there.
+  const auto seq = default_seq();
+  Frame frame(64, 48);
+  PictureContext pic;
+  pic.seq = &seq;
+  pic.header.type = PictureType::kI;
+  pic.mb_width = 4;
+  pic.mb_height = 3;
+  pic.dst = &frame;
+  const std::uint8_t sentinel = 0x5A;
+  struct Case {
+    std::vector<int> increments;
+    bool ok;
+  };
+  const Case cases[] = {
+      {{1}, true},      // column 0 of row 1
+      {{4}, true},      // column 3, the row's last macroblock
+      {{5}, false},     // first increment lands on row 2
+      {{4, 1}, false},  // second macroblock steps past the row's end
+  };
+  for (const Case& c : cases) {
+    for (int p = 0; p < 3; ++p) {
+      const int bytes = p == 0 ? frame.y_stride() * frame.coded_height()
+                               : frame.c_stride() * frame.coded_height() / 2;
+      std::fill_n(frame.plane(p), bytes, sentinel);
+    }
+    const auto bytes = intra_slice(c.increments);
+    BitReader br(bytes);
+    const SliceResult r = decode_slice(br, 1, pic);
+    EXPECT_EQ(r.ok, c.ok) << c.increments.size() << " MBs";
+    const std::vector<int> rows = written_rows(frame, sentinel);
+    if (c.ok) {
+      EXPECT_EQ(rows, std::vector<int>{1});
+    } else {
+      for (const int row : rows) EXPECT_EQ(row, 1);
+    }
+  }
 }
 
 TEST(WorkMeter, UnitsMonotoneInCounts) {

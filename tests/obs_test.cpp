@@ -505,7 +505,7 @@ TEST(DecoderTrace, SliceSpansMatchTaskAndCounterTotals) {
       }
       if (s.kind == obs::SpanKind::kScan) {
         scan_span = true;
-        EXPECT_EQ(t, workers);  // scan only on the scan track
+        EXPECT_LT(t, workers);  // scan tasks run on the worker tracks
       }
     }
   }

@@ -278,6 +278,33 @@ TEST(ParallelDecoders, AllVariantsAgreeOnLargerStream) {
   }
 }
 
+TEST(ParallelDecoders, SliceDecoderDecodesOpenGops) {
+  // Clear closed_gop (the bit after the 25-bit time_code) in every GOP
+  // header. The slice decoder carries references across GOPs and needs
+  // no closed GOPs; the GOP decoder does, and refuses the stream.
+  auto stream = generate_stream(test_spec(13, 39));
+  for (const auto& gop : mpeg2::scan_structure(stream).gops) {
+    stream[gop.offset + 7] &= 0xBF;
+  }
+  const auto structure = mpeg2::scan_structure(stream);
+  ASSERT_TRUE(structure.valid);
+  ASSERT_EQ(structure.gops.size(), 3u);
+  for (const auto& gop : structure.gops) ASSERT_FALSE(gop.closed);
+  const std::uint64_t want = sequential_checksum(stream);
+  for (const auto policy : {SlicePolicy::kSimple, SlicePolicy::kImproved}) {
+    SliceDecoderConfig scfg;
+    scfg.workers = 4;
+    scfg.policy = policy;
+    const RunResult s = SliceParallelDecoder(scfg).decode(stream);
+    ASSERT_TRUE(s.ok);
+    EXPECT_EQ(s.pictures, 39);
+    EXPECT_EQ(s.checksum, want);
+  }
+  GopDecoderConfig gcfg;
+  gcfg.workers = 4;
+  EXPECT_FALSE(GopParallelDecoder(gcfg).decode(stream).ok);
+}
+
 TEST(ParallelDecoders, FrameCallbackDeliversDisplayOrder) {
   const auto stream = generate_stream(test_spec(4, 12));
   std::vector<int> order;
