@@ -45,10 +45,9 @@ int main(int argc, char** argv) {
       cfg.workers = workers;
       cfg.queue_overhead_ns = static_cast<std::int64_t>(us) * 1000;
       const double gop =
-          sched::simulate_gop(profile, cfg).pictures_per_second();
+          sched::simulate(profile, cfg).pictures_per_second();
       const double slice =
-          sched::simulate_slice(profile, cfg,
-                                parallel::SlicePolicy::kImproved)
+          sched::simulate(profile, bench::improved_slice(cfg))
               .pictures_per_second();
       series.add_point(us, {gop, slice, slice / gop});
       report.add_row()
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
       cfg.paced_display = true;
       cfg.cost_scale = one_worker_pps / target_pps;
       cfg.max_queued_gops = bound;
-      const auto r = sched::simulate_gop(profile, cfg);
+      const auto r = sched::simulate(profile, cfg);
       series.add_point(bound,
                        {static_cast<double>(r.peak_stream_bytes) / (1 << 20),
                         static_cast<double>(r.peak_memory) / (1 << 20),
@@ -115,8 +114,7 @@ int main(int argc, char** argv) {
       sched::SimConfig cfg;
       cfg.workers = workers;
       cfg.max_open_pictures = window;
-      const auto r = sched::simulate_slice(
-          profile, cfg, parallel::SlicePolicy::kImproved);
+      const auto r = sched::simulate(profile, bench::improved_slice(cfg));
       series.add_point(window, {r.pictures_per_second(), r.sync_ratio()});
       report.add_row()
           .set("study", "open_picture_window")

@@ -13,13 +13,12 @@
 //
 // A policy is Pareto-dominated when another is at least as good on both
 // axes. The acceptance claim: adaptive matches or dominates both fixed
-// modes at every worker count. The stolen-task attribution table answers
-// "where did stolen work land" per worker.
+// modes at every worker count. All three are the one simulator model
+// (sched::simulate) at different granularities.
 #include <cstdint>
 #include <string>
 
 #include "bench/common.h"
-#include "sched/adaptive.h"
 #include "sched/sim.h"
 
 using namespace pmp2;
@@ -62,7 +61,6 @@ int main(int argc, char** argv) {
   report.set_meta("gop_size", gop);
   report.set_meta("pareto_tol", tol);
 
-  sched::AdaptivePolicy policy;  // defaults: depth = workers, factor 2.0
   int pareto_ok = 0, pareto_total = 0;
 
   for (const auto& res : bench::resolutions(flags)) {
@@ -86,7 +84,7 @@ int main(int argc, char** argv) {
               << profile.slices_per_picture << " slices/picture) ---\n";
 
     Table table({"workers", "policy", "p99 latency (ms)", "pics/s",
-                 "gop-mode", "exploded", "stolen"});
+                 "gop-mode", "exploded"});
     for (const int workers : worker_list) {
       sched::SimConfig paced;
       paced.workers = workers;
@@ -94,23 +92,18 @@ int main(int argc, char** argv) {
       sched::SimConfig unpaced;
       unpaced.workers = workers;
 
-      auto run = [&](auto&& sim) {
+      // Adaptive policy defaults: depth = workers, factor 2.0.
+      auto run = [&](sched::Granularity granularity) {
+        paced.granularity = unpaced.granularity = granularity;
         ModeResult r;
-        r.paced = sim(paced);
+        r.paced = sched::simulate(profile, paced);
         r.p99_ns = r.paced.latency_percentile(99);
-        r.pps = sim(unpaced).pictures_per_second();
+        r.pps = sched::simulate(profile, unpaced).pictures_per_second();
         return r;
       };
-      const ModeResult gop_fixed = run([&](const sched::SimConfig& c) {
-        return sched::simulate_gop(profile, c);
-      });
-      const ModeResult slice_fixed = run([&](const sched::SimConfig& c) {
-        return sched::simulate_slice(profile, c,
-                                     parallel::SlicePolicy::kImproved);
-      });
-      const ModeResult adaptive = run([&](const sched::SimConfig& c) {
-        return sched::simulate_adaptive(profile, c, policy);
-      });
+      const ModeResult gop_fixed = run(sched::Granularity::kWholeGop);
+      const ModeResult slice_fixed = run(sched::Granularity::kSlice);
+      const ModeResult adaptive = run(sched::Granularity::kAdaptive);
 
       const bool ok = matches_or_dominates(adaptive, gop_fixed, tol) &&
                       matches_or_dominates(adaptive, slice_fixed, tol);
@@ -130,8 +123,7 @@ int main(int argc, char** argv) {
              Table::fmt(static_cast<double>(r->p99_ns) / 1e6, 3),
              Table::fmt(r->pps, 1),
              is_adaptive ? std::to_string(r->paced.gop_mode_gops) : "-",
-             is_adaptive ? std::to_string(r->paced.exploded_gops) : "-",
-             is_adaptive ? std::to_string(r->paced.stolen_tasks) : "-"});
+             is_adaptive ? std::to_string(r->paced.exploded_gops) : "-"});
         auto& row = report.add_row()
                         .set("width", res.width)
                         .set("height", res.height)
@@ -142,7 +134,6 @@ int main(int argc, char** argv) {
         if (is_adaptive) {
           row.set("gop_mode_gops", r->paced.gop_mode_gops)
               .set("exploded_gops", r->paced.exploded_gops)
-              .set("stolen_tasks", r->paced.stolen_tasks)
               .set("pareto_ok", ok);
         }
       }
@@ -155,26 +146,6 @@ int main(int argc, char** argv) {
                 << "; pics/s " << Table::fmt(adaptive.pps, 1) << " vs gop "
                 << Table::fmt(gop_fixed.pps, 1) << " / slice "
                 << Table::fmt(slice_fixed.pps, 1) << "]\n";
-
-      // Steal attribution: which workers absorbed other deques' GOPs in
-      // the paced (latency-pressured) run. Non-zero entries concentrate on
-      // the workers whose own deques drained first.
-      if (adaptive.paced.stolen_tasks > 0) {
-        std::cout << "    stolen-task landing (paced):";
-        for (std::size_t w = 0; w < adaptive.paced.workers.size(); ++w) {
-          if (adaptive.paced.workers[w].stolen_tasks == 0) continue;
-          std::cout << " w" << w << "="
-                    << adaptive.paced.workers[w].stolen_tasks;
-          report.add_row()
-              .set("width", res.width)
-              .set("height", res.height)
-              .set("workers", workers)
-              .set("policy", "adaptive-steal")
-              .set("worker", static_cast<int>(w))
-              .set("stolen_tasks", adaptive.paced.workers[w].stolen_tasks);
-        }
-        std::cout << "\n";
-      }
     }
     std::cout << "\n";
     table.print(std::cout);

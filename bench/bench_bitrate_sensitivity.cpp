@@ -63,12 +63,12 @@ int main(int argc, char** argv) {
     sched::SimConfig one = scfg;
     one.workers = 1;
     const double gop_speedup =
-        sched::simulate_gop(profile, scfg).pictures_per_second() /
-        sched::simulate_gop(profile, one).pictures_per_second();
+        sched::simulate(profile, scfg).pictures_per_second() /
+        sched::simulate(profile, one).pictures_per_second();
     const double slice_speedup =
-        sched::simulate_slice(profile, scfg, parallel::SlicePolicy::kImproved)
+        sched::simulate(profile, bench::improved_slice(scfg))
             .pictures_per_second() /
-        sched::simulate_slice(profile, one, parallel::SlicePolicy::kImproved)
+        sched::simulate(profile, bench::improved_slice(one))
             .pictures_per_second();
 
     const double mbps =

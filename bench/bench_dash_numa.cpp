@@ -45,18 +45,18 @@ int main(int argc, char** argv) {
     numa.cluster_size = cluster;
     numa.remote_penalty = penalty;
     const double slice_pps =
-        sched::simulate_slice(profile, numa, parallel::SlicePolicy::kImproved)
+        sched::simulate(profile, bench::improved_slice(numa))
             .pictures_per_second();
     const double gop_pps =
-        sched::simulate_gop(profile, numa).pictures_per_second();
+        sched::simulate(profile, numa).pictures_per_second();
     auto local = numa;
     local.numa_local_queues = true;
     const double gop_local_pps =
-        sched::simulate_gop(profile, local).pictures_per_second();
+        sched::simulate(profile, local).pictures_per_second();
     sched::SimConfig uma;
     uma.workers = procs;
     const double uma_pps =
-        sched::simulate_slice(profile, uma, parallel::SlicePolicy::kImproved)
+        sched::simulate(profile, bench::improved_slice(uma))
             .pictures_per_second();
     if (procs == proc_list.front()) {
       base_slice = slice_pps;

@@ -39,11 +39,10 @@ int main(int argc, char** argv) {
       sched::SimConfig cfg;
       cfg.workers = workers;
       const double simple =
-          sched::simulate_slice(profile, cfg, parallel::SlicePolicy::kSimple)
+          sched::simulate(profile, bench::simple_slice(cfg))
               .pictures_per_second();
       const double improved =
-          sched::simulate_slice(profile, cfg,
-                                parallel::SlicePolicy::kImproved)
+          sched::simulate(profile, bench::improved_slice(cfg))
               .pictures_per_second();
       if (workers == worker_list.front()) {
         base_simple = simple;

@@ -39,11 +39,10 @@ int main(int argc, char** argv) {
       sched::SimConfig cfg;
       cfg.workers = workers;
       const auto simple_load =
-          sched::simulate_slice(profile, cfg, parallel::SlicePolicy::kSimple)
+          sched::simulate(profile, bench::simple_slice(cfg))
               .load_summary();
       const auto improved_load =
-          sched::simulate_slice(profile, cfg,
-                                parallel::SlicePolicy::kImproved)
+          sched::simulate(profile, bench::improved_slice(cfg))
               .load_summary();
       series.add_point(workers,
                        {simple_load.sync_ratio, improved_load.sync_ratio});

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
         sched::SimConfig cfg;
         cfg.workers = workers;
         const double pps =
-            sched::simulate_gop(profile, cfg).pictures_per_second();
+            sched::simulate(profile, cfg).pictures_per_second();
         if (workers == worker_list.front() && worker_list.front() == 1) {
           base[gi] = pps;
         }

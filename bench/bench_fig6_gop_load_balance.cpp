@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       const auto profile = bench::sim_profile(spec, flags);
       sched::SimConfig cfg;
       cfg.workers = workers;
-      const auto r = sched::simulate_gop(profile, cfg);
+      const auto r = sched::simulate(profile, cfg);
       const auto load = r.load_summary();
       t.add_row({std::to_string(gop),
                  std::to_string(profile.gops.size()),

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
               5.0 * (352.0 * 240.0) / (res.width * res.height);
           cfg.cost_scale = one_worker_rate(profile) / target;
         }
-        const auto r = sched::simulate_gop(profile, cfg);
+        const auto r = sched::simulate(profile, cfg);
         ys.push_back(static_cast<double>(r.peak_memory) / (1 << 20));
         report.add_row()
             .set("width", res.width)

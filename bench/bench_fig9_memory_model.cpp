@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     cfg.workers = 7;
     cfg.paced_display = true;
     cfg.measured_costs = true;
-    const auto sim = sched::simulate_gop(profile, cfg);
+    const auto sim = sched::simulate(profile, cfg);
     const auto params = params_from_profile(profile, 7, 13,
                                             profile.total_pictures());
     const auto model_peak = model::MemoryModel(params).peak_bytes();

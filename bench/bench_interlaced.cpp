@@ -101,11 +101,10 @@ int main(int argc, char** argv) {
       sched::SimConfig cfg;
       cfg.workers = workers;
       const double slice =
-          sched::simulate_slice(profile, cfg,
-                                parallel::SlicePolicy::kImproved)
+          sched::simulate(profile, bench::improved_slice(cfg))
               .pictures_per_second();
       const double gop =
-          sched::simulate_gop(profile, cfg).pictures_per_second();
+          sched::simulate(profile, cfg).pictures_per_second();
       if (workers == 1) {
         base_slice = slice;
         base_gop = gop;

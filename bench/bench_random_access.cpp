@@ -80,11 +80,10 @@ int main(int argc, char** argv) {
       auto gop_prefix = prefix_profile(full, 1, 1);
       sched::SimConfig one = cfg;
       one.workers = 1;
-      const auto g = sched::simulate_gop(gop_prefix, one);
+      const auto g = sched::simulate(gop_prefix, one);
 
       // Slice decoder: all P workers decode that same I picture's slices.
-      const auto s = sched::simulate_slice(
-          gop_prefix, cfg, parallel::SlicePolicy::kImproved);
+      const auto s = sched::simulate(gop_prefix, bench::improved_slice(cfg));
 
       t.add_row({std::to_string(gop),
                  Table::fmt(first_display_ns(g) / 1e6, 2),

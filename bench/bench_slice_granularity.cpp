@@ -46,10 +46,10 @@ int main(int argc, char** argv) {
     sched::SimConfig one;
     one.workers = 1;
     const double base_simple =
-        sched::simulate_slice(profile, one, parallel::SlicePolicy::kSimple)
+        sched::simulate(profile, bench::simple_slice(one))
             .pictures_per_second();
     const double base_improved =
-        sched::simulate_slice(profile, one, parallel::SlicePolicy::kImproved)
+        sched::simulate(profile, bench::improved_slice(one))
             .pictures_per_second();
     std::vector<std::string> row{
         std::to_string(spr),
@@ -63,12 +63,11 @@ int main(int argc, char** argv) {
       sched::SimConfig cfg;
       cfg.workers = workers;
       const double simple_speedup =
-          sched::simulate_slice(profile, cfg, parallel::SlicePolicy::kSimple)
+          sched::simulate(profile, bench::simple_slice(cfg))
               .pictures_per_second() /
           base_simple;
       const double improved_speedup =
-          sched::simulate_slice(profile, cfg,
-                                parallel::SlicePolicy::kImproved)
+          sched::simulate(profile, bench::improved_slice(cfg))
               .pictures_per_second() /
           base_improved;
       row.push_back(Table::fmt(simple_speedup, 2));

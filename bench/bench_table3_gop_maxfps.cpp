@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
     sched::SimConfig cfg;
     cfg.workers = workers;
     cfg.measured_costs = true;
-    const double sim = sched::simulate_gop(profile, cfg).pictures_per_second();
+    const double sim = sched::simulate(profile, cfg).pictures_per_second();
     cfg.workers = 1;
     const double sim1 =
-        sched::simulate_gop(profile, cfg).pictures_per_second();
+        sched::simulate(profile, cfg).pictures_per_second();
 
     const auto stream = bench::load_or_generate(spec);
     parallel::GopDecoderConfig pcfg;

@@ -5,7 +5,6 @@
 
 #include "bench/common.h"
 #include "parallel/gop_decoder.h"
-#include "parallel/slice_parallel.h"
 #include "sched/sim.h"
 
 using namespace pmp2;
@@ -34,13 +33,13 @@ int main(int argc, char** argv) {
     cfg.workers = workers;
     cfg.measured_costs = true;
     const double simple =
-        sched::simulate_slice(profile, cfg, parallel::SlicePolicy::kSimple)
+        sched::simulate(profile, bench::simple_slice(cfg))
             .pictures_per_second();
     const double improved =
-        sched::simulate_slice(profile, cfg, parallel::SlicePolicy::kImproved)
+        sched::simulate(profile, bench::improved_slice(cfg))
             .pictures_per_second();
     const double gop_pps =
-        sched::simulate_gop(profile, cfg).pictures_per_second();
+        sched::simulate(profile, cfg).pictures_per_second();
     t.add_row({std::to_string(res.width) + "x" + std::to_string(res.height),
                Table::fmt(simple, 1), Table::fmt(improved, 1),
                Table::fmt(gop_pps, 1), Table::fmt(improved / gop_pps, 2),

@@ -16,6 +16,7 @@
 #include "obs/report.h"
 #include "parallel/stats.h"
 #include "sched/profile.h"
+#include "sched/sim.h"
 #include "streamgen/stream_factory.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -51,6 +52,17 @@ const sched::StreamProfile& cached_profile(
 /// by tiling the measured GOP costs, as the paper tiled its source clip.
 sched::StreamProfile sim_profile(const streamgen::StreamSpec& spec,
                                  const Flags& flags);
+
+/// `cfg` at slice granularity under the paper's improved slice policy
+/// (cfg.max_open_pictures pictures open at once) or its simple one (one).
+inline sched::SimConfig improved_slice(sched::SimConfig cfg) {
+  cfg.granularity = sched::Granularity::kSlice;
+  return cfg;
+}
+inline sched::SimConfig simple_slice(sched::SimConfig cfg) {
+  cfg.max_open_pictures = 1;
+  return improved_slice(cfg);
+}
 
 /// The paper's resolutions, largest optionally dropped via --max-res.
 std::vector<streamgen::Resolution> resolutions(const Flags& flags);

@@ -58,6 +58,21 @@ bool StructureScanner::handle_gap_unit(const DemuxUnit& u) {
   }
 }
 
+void StructureScanner::resync() {
+  failed_ = failed_in_gop_ = false;
+  DemuxUnit u;
+  while (!have_pending_gop_ && demux_.next(u)) {
+    if (u.sc.code != 0xB8) continue;
+    BitReader br(stream_);
+    br.seek_bytes(u.sc.byte_offset + 4);
+    GopHeader gh;
+    if (!parse_gop_header(br, gh)) continue;
+    have_pending_gop_ = true;
+    pending_offset_ = u.sc.byte_offset;
+    pending_closed_ = gh.closed_gop;
+  }
+}
+
 bool StructureScanner::next_gop(GopInfo& out) {
   out = GopInfo{};
   if (failed_) return false;

@@ -52,6 +52,12 @@ class StructureScanner {
   /// output on malformed streams.
   bool next_gop(GopInfo& out);
 
+  /// After a failure: skips to the next group start code whose GOP header
+  /// parses and clears the failure, so next_gop() yields that GOP — or,
+  /// when none is left, reports a clean end of stream. Lets a consumer
+  /// that quarantines damaged GOPs lose only the GOP the damage hit.
+  void resync();
+
   [[nodiscard]] bool failed() const { return failed_; }
   [[nodiscard]] bool failed_in_gop() const { return failed_in_gop_; }
   [[nodiscard]] const SequenceHeader& seq() const { return seq_; }

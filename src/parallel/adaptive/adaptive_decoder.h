@@ -6,8 +6,8 @@
 // decode() runs the stream as the only session of a private engine with
 // `workers` threads. Scanned GOPs wait in the session's FIFO; at pop time
 // the policy decides, from queue depth and an online cost model (src/sched
-// AdaptivePolicy / CostEwma — the same arithmetic the virtual-time sweeps
-// in simulate_adaptive validated):
+// AdaptivePolicy / CostEwma — the same arithmetic sched::simulate sweeps
+// in virtual time at Granularity::kAdaptive):
 //
 //   throughput mode — the pipeline is deep: run the GOP whole, exactly the
 //     GOP decoder's task (decode_gop), zero inter-worker communication;

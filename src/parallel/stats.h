@@ -36,7 +36,7 @@ enum class RecoveryCause : std::uint8_t {
   kPictureHeader,     // picture header/extension unparseable
   kMissingReference,  // P/B picture with no reference available
   kOpenGop,           // GOP decoder fed a non-closed GOP
-  kScanTruncated,     // structure scan failed mid-stream; prefix kept
+  kScanTruncated,     // structure scan hit damage; resynced at next GOP
   kWatchdog,          // scheduler made no progress within the deadline
   kDisplayTimeout,    // display never received every picture
 };

@@ -1,54 +1,37 @@
-// Adaptive-granularity scheduling policy and its virtual-time simulator.
+// Dispatch granularity and the adaptive policy, shared by the engine and
+// the simulator.
 //
 // The paper fixes parallel granularity per experiment: GOP tasks for
 // throughput (Fig. 5), slice tasks for latency (Fig. 11). The adaptive
 // policy chooses per GOP at dispatch time — run the GOP whole when the
 // pipeline is deep (plenty of ready GOPs to keep every worker busy), or
-// explode it into slice tasks when the queue is shallow or the GOP is
+// explode it into finer tasks when the queue is shallow or the GOP is
 // predicted to be a straggler, so all workers cooperate on the frames that
-// gate display. simulate_adaptive sweeps this policy space in virtual time
-// (deterministic, any worker count) before the real decoder commits to it;
-// the frame-latency objective (SimResult::frame_latency_ns) provides the
-// second Pareto axis next to makespan.
+// gate display.
 //
 // The real engine (the DecodeServer claim loop in src/serve/server.cpp,
-// which the GOP and adaptive decoders run as one-session façades) keeps
-// one FIFO of GOP tasks per session and shares CostEwma and
-// should_explode() below with this simulator. Work stealing exists only
-// in the simulator: each simulated worker owns a deque of GOP tasks
-// (owner = gop index mod workers); an idle one first backfills slice
-// tasks of any exploded GOP, then pops its own deque, then steals a whole
-// GOP from the next worker in steal_order(). The simulator moves to the
-// engine's single FIFO when src/sched folds into the engine (ROADMAP
-// item 1).
+// which the GOP, adaptive and slice decoders run as one-session façades)
+// keeps one FIFO of scanned GOPs per session and decides with CostEwma and
+// should_explode() below; sched::simulate (sim.h) models the same FIFO in
+// virtual time. Header-only, so the engine in src/serve shares it without
+// a link dependency on pmp2_sched.
 #pragma once
 
-#include <vector>
-
-#include "sched/sim.h"
+#include <cstdint>
 
 namespace pmp2::sched {
 
-/// Victim order for worker `self` of `workers`: self+1, self+2, ... wrapped,
-/// excluding self. Deterministic and purely index-based so steal decisions
-/// are reproducible and unit-testable. Header-only, like CostEwma and
-/// should_explode below, which the engine in src/serve shares without a
-/// link dependency on pmp2_sched.
-[[nodiscard]] inline std::vector<int> steal_order(int self, int workers) {
-  std::vector<int> out;
-  if (workers <= 1) return out;
-  out.reserve(static_cast<std::size_t>(workers - 1));
-  for (int i = 1; i < workers; ++i) {
-    out.push_back((self + i) % workers);
-  }
-  return out;
-}
+/// What a GOP popped from the queue becomes. kWholeGop never explodes (the
+/// paper's §5.1 GOP decoder); kAdaptive asks should_explode; kSlice opens
+/// every scanned GOP's pictures in decode order along one session-wide
+/// chain and decodes them as finer tasks (the paper's §5.2 slice decoder).
+enum class Granularity : std::uint8_t { kAdaptive, kWholeGop, kSlice };
 
-/// Dispatch policy knobs for the hybrid decoder and its simulator.
+/// Dispatch policy knobs for the adaptive granularity.
 struct AdaptivePolicy {
-  /// Explode a GOP when fewer than this many GOP tasks are queued across
-  /// all queues (the pipeline is shallow, so latency wins over locality).
-  /// 0 = use the worker count, the natural "can everyone stay busy" depth.
+  /// Explode a GOP when fewer than this many GOP tasks are queued (the
+  /// pipeline is shallow, so latency wins over locality). 0 = use the
+  /// worker count, the natural "can everyone stay busy" depth.
   int depth_threshold = 0;
 
   /// Explode a GOP whose predicted cost exceeds this multiple of the
@@ -103,9 +86,10 @@ class CostEwma {
   int observations_ = 0;
 };
 
-/// The dispatch decision, factored out of both the simulator and the real
-/// decoder: explode iff the ready queue is shallow, the GOP is a predicted
-/// straggler, or no calibration exists yet.
+/// The dispatch decision, shared by the simulator and the real decoder:
+/// explode iff the ready queue is shallow, the GOP is a predicted
+/// straggler, or no calibration exists yet. Callers count the GOP being
+/// decided in `queued_gops`.
 [[nodiscard]] inline bool should_explode(const AdaptivePolicy& policy,
                                          int workers, int queued_gops,
                                          const CostEwma& ewma,
@@ -117,14 +101,5 @@ class CostEwma {
   return static_cast<double>(predicted) >
          policy.cost_factor * static_cast<double>(avg);
 }
-
-/// Simulates the adaptive hybrid decoder: GOP tasks arrive from the scan
-/// into per-worker deques; each pop dispatches whole or exploded per
-/// `policy`; idle workers backfill exploded slices and steal queued GOPs.
-/// Fills SimResult's adaptive accounting (gop_mode_gops, exploded_gops,
-/// stolen_tasks) and the frame-latency objective.
-[[nodiscard]] SimResult simulate_adaptive(const StreamProfile& profile,
-                                          const SimConfig& config,
-                                          const AdaptivePolicy& policy);
 
 }  // namespace pmp2::sched

@@ -27,6 +27,7 @@ StreamProfile profile_stream(std::span<const std::uint8_t> stream) {
     const auto& gop = structure.gops[g];
     GopCost gop_cost;
     gop_cost.stream_bytes = gop.end_offset - gop.offset;
+    gop_cost.closed = gop.closed;
     for (const auto& info : gop.pictures) {
       pmp2::BitReader br(stream);
       br.seek_bytes(info.offset);

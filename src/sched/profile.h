@@ -44,6 +44,8 @@ struct PictureCost {
 struct GopCost {
   std::vector<PictureCost> pictures;
   std::uint64_t stream_bytes = 0;  // coded bytes of this GOP
+  /// closed_gop: its leading pictures reference nothing before the GOP.
+  bool closed = true;
 
   [[nodiscard]] std::uint64_t units() const {
     std::uint64_t sum = 0;

@@ -5,26 +5,38 @@
 #include <deque>
 #include <limits>
 #include <queue>
+#include <utility>
+#include <vector>
 
 #include "obs/tracer.h"
-#include "sched/sim_internal.h"
 
 namespace pmp2::sched {
 
-using detail::display_times;
-using detail::faulted_task_cost;
-using detail::fill_latencies;
-using detail::kInf;
-using detail::picture_arrivals;
-using detail::scan_rate;
-using detail::scan_ready_ns;
-using detail::ScanTrack;
-
 namespace {
 
+constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
+
+using Events = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+/// Deterministic corrupt-slice selection for the concealment cost model:
+/// SplitMix64 finalizer over (fault_seed, gop, picture, slice), mapped to
+/// [0, 1) and compared against fault_slice_rate. Identical for every
+/// granularity and across runs.
+bool slice_faulted(const SimConfig& config, int gop, int pic, int slice) {
+  if (config.fault_slice_rate <= 0.0) return false;
+  std::uint64_t x = config.fault_seed ^
+                    (static_cast<std::uint64_t>(gop) << 40) ^
+                    (static_cast<std::uint64_t>(pic) << 20) ^
+                    static_cast<std::uint64_t>(slice);
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return static_cast<double>(x >> 11) * 0x1.0p-53 < config.fault_slice_rate;
+}
+
 /// Turns (time, delta) events into a sampled timeline plus peak.
-void build_timeline(std::vector<std::pair<std::int64_t, std::int64_t>> events,
-                    SimResult& result) {
+void build_timeline(Events events, SimResult& result) {
   std::sort(events.begin(), events.end());
   std::int64_t bytes = 0;
   result.memory_timeline.clear();
@@ -37,6 +49,579 @@ void build_timeline(std::vector<std::pair<std::int64_t, std::int64_t>> events,
     result.memory_timeline.push_back({events[i].first, bytes});
     result.peak_memory = std::max(result.peak_memory, bytes);
   }
+}
+
+/// The model. Every GOP is admitted to the queue at its scan end; an idle
+/// worker claims, in order: a slice of an open picture on some chain
+/// (frames closest to display first), else the queue's head GOP, run whole
+/// or exploded onto a chain of its own per the granularity. Under kSlice
+/// the scan appends each admitted GOP to one session-wide chain instead.
+class Model {
+ public:
+  Model(const StreamProfile& profile, const SimConfig& config)
+      : profile_(profile),
+        config_(config),
+        clusters_(config.cluster_size > 0
+                      ? (config.workers + config.cluster_size - 1) /
+                            config.cluster_size
+                      : 1),
+        max_open_(std::max(1, config.max_open_pictures)),
+        fb_(profile.frame_bytes()) {
+    result_.workers.resize(static_cast<std::size_t>(config.workers));
+    if (config.scan_bytes_per_ns > 0) {
+      rate_ = config.scan_bytes_per_ns;
+    } else if (profile.scan_ns > 0) {
+      // The scan processor slows down with the workers (cost_scale).
+      rate_ = static_cast<double>(profile.stream_bytes) /
+              (static_cast<double>(profile.scan_ns) * config.cost_scale);
+    }
+    build();
+  }
+
+  SimResult run();
+
+ private:
+  /// Decode-order pictures opened in order, at most max_open_ at once: a
+  /// GOP kAdaptive exploded, or kSlice's session-wide chain.
+  struct Chain {
+    int begin = 0;         // first picture
+    int end = 0;           // one past the last admitted picture
+    int next = 0;          // next picture to open
+    int first_active = 0;  // lowest picture that may still have work
+    int open = 0;
+  };
+  struct Gop {
+    const GopCost* cost = nullptr;
+    int first_pic = 0;  // global decode-order index of its first picture
+    int display_base = 0;
+    int home = 0;  // NUMA cluster holding its data
+    std::int64_t scanned = 0;  // scan end: the earliest admission
+    std::int64_t admitted = 0;
+    std::int64_t left_queue = kInf;  // claimed, or first picture opened
+    std::int64_t cost_ns = 0;        // decode cost so far (EWMA feedback)
+    int pictures_left = 0;
+    bool exploded = false;
+    Chain chain;  // kAdaptive, once exploded
+  };
+  struct Pic {
+    const PictureCost* cost = nullptr;
+    int gop = 0;
+    int pic_in_gop = 0;
+    int display_index = 0;
+    int refs[2] = {-1, -1};  // reference pictures it waits for, if any
+    bool complete = false;
+    int next_slice = 0;
+    int remaining = 0;
+    std::int64_t alloc = 0;  // frame buffer taken
+    std::int64_t completion = 0;
+    std::int64_t last_ref_use = 0;
+  };
+  struct Idle {
+    std::int64_t since;
+    int id;
+  };
+  struct Event {
+    std::int64_t finish;
+    int worker;
+    int gop;
+    int pic;  // -1: a whole-GOP claim
+    // Simultaneous completions pop in heap order: deterministic, and the
+    // order the pinned results (AdaptiveSim.PinnedGopAndSliceResults) hold.
+    bool operator>(const Event& o) const { return finish > o.finish; }
+  };
+
+  void build();
+  [[nodiscard]] std::int64_t scan_ready(std::uint64_t scanned) const;
+  [[nodiscard]] std::int64_t slice_cost(const Pic& pic, int s);
+  [[nodiscard]] int cluster_of(int w) const {
+    return config_.cluster_size > 0 ? w / config_.cluster_size : 0;
+  }
+  [[nodiscard]] std::int64_t next_admission() const;
+  void admit(std::int64_t now);
+  void leave_queue(int g, std::int64_t t) { gops_[g].left_queue = t; }
+  void open_eligible(Chain& chain, std::int64_t now);
+  [[nodiscard]] int find_slice();
+  [[nodiscard]] int pop_gop(int w);
+  bool try_assign(const Idle& w, std::int64_t now);
+  void run_whole(const Idle& w, std::int64_t now, int g);
+  void run_slice(const Idle& w, std::int64_t now, int p);
+  int complete(const Event& e);
+  [[nodiscard]] obs::SpanKind stall_kind() const;
+  void wait_span(const Idle& w, std::int64_t now, std::int64_t start,
+                 obs::SpanKind kind) const {
+    if (config_.tracer && start > w.since) {
+      config_.tracer->emit(w.id, now > w.since ? kind
+                                               : obs::SpanKind::kQueueWait,
+                           w.since, start);
+    }
+  }
+
+  const StreamProfile& profile_;
+  const SimConfig& config_;
+  const int clusters_;
+  const int max_open_;
+  const std::int64_t fb_;
+  double rate_ = 1e9;  // scan bytes/ns; effectively instant by default
+  SimResult result_;
+
+  std::vector<Gop> gops_;
+  std::vector<Pic> pics_;
+  std::size_t next_admit_ = 0;
+  std::vector<std::deque<int>> queues_;  // one, or one per cluster
+  std::vector<int> unclaimed_;           // per cluster, admitted or not
+  int queued_ = 0;                       // admitted GOPs still queued
+  Chain session_;                        // kSlice's chain
+  std::vector<Chain*> chains_;  // chains with work, by first picture
+  CostEwma ewma_;
+  std::vector<Idle> idle_;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
+  obs::SpanKind stall_ = obs::SpanKind::kQueueWait;
+  Events mem_, stream_;
+};
+
+std::int64_t Model::scan_ready(std::uint64_t scanned) const {
+  if (!config_.model_scan) return 0;
+  const std::uint64_t bytes =
+      config_.upfront_scan ? profile_.stream_bytes : scanned;
+  return static_cast<std::int64_t>(static_cast<double>(bytes) / rate_);
+}
+
+/// Lays out GOPs and pictures in decode order. A picture waits for the
+/// newest reference picture before it (a B picture for the older one
+/// too); the reference chain restarts at every GOP, except under kSlice
+/// at an open GOP, whose leading pictures reference the previous GOP.
+void Model::build() {
+  const bool per_gop_chain = config_.granularity != Granularity::kSlice;
+  // The scan track: when the tracer has a track beyond the workers, it
+  // records the scan process as per-GOP kScan spans, named "scan" so the
+  // analyzer classifies it as a process track.
+  obs::Tracer* const tracer = config_.tracer;
+  int scan_track = -1;
+  if (tracer && config_.model_scan && tracer->tracks() > config_.workers) {
+    scan_track = config_.workers;
+    if (tracer->track(scan_track).name().empty()) {
+      tracer->track(scan_track).set_name("scan");
+    }
+  }
+  std::int64_t scan_prev = 0;
+  std::uint64_t scanned = 0;
+  int display_base = 0;
+  int older = -1, newest = -1;
+  unclaimed_.assign(static_cast<std::size_t>(clusters_), 0);
+  for (std::size_t g = 0; g < profile_.gops.size(); ++g) {
+    const GopCost& gc = profile_.gops[g];
+    scanned += gc.stream_bytes;
+    const auto scan_end = static_cast<std::int64_t>(
+        static_cast<double>(scanned) / rate_);
+    if (scan_track >= 0 && scan_end > scan_prev) {
+      tracer->emit(scan_track, obs::SpanKind::kScan, scan_prev, scan_end, -1,
+                   -1, static_cast<int>(g));
+      scan_prev = scan_end;
+    }
+    Gop gop;
+    gop.cost = &gc;
+    gop.first_pic = static_cast<int>(pics_.size());
+    gop.display_base = display_base;
+    gop.home = static_cast<int>(g) % clusters_;
+    gop.scanned = scan_ready(scanned);
+    gop.pictures_left = static_cast<int>(gc.pictures.size());
+    gops_.push_back(gop);
+    ++unclaimed_[static_cast<std::size_t>(gop.home)];
+    if (per_gop_chain || gc.closed) older = newest = -1;
+    for (std::size_t p = 0; p < gc.pictures.size(); ++p) {
+      const PictureCost& pc = gc.pictures[p];
+      Pic pic;
+      pic.cost = &pc;
+      pic.gop = static_cast<int>(g);
+      pic.pic_in_gop = static_cast<int>(p);
+      pic.display_index = display_base + pc.temporal_reference;
+      if (pc.type == mpeg2::PictureType::kP) {
+        pic.refs[0] = newest;
+      } else if (pc.type == mpeg2::PictureType::kB) {
+        pic.refs[0] = older;
+        pic.refs[1] = newest;
+      }
+      if (pc.type != mpeg2::PictureType::kB) {
+        older = newest;
+        newest = static_cast<int>(pics_.size());
+      }
+      pics_.push_back(pic);
+    }
+    display_base += static_cast<int>(gc.pictures.size());
+  }
+  result_.pictures = display_base;
+  queues_.resize(config_.numa_local_queues
+                     ? static_cast<std::size_t>(clusters_)
+                     : 1);
+  if (config_.granularity == Granularity::kSlice) chains_.push_back(&session_);
+  for (int w = 0; w < config_.workers; ++w) idle_.push_back({0, w});
+}
+
+/// One slice's cost: its decode, or the concealment copy when the fault
+/// model marks it corrupt.
+std::int64_t Model::slice_cost(const Pic& pic, int s) {
+  std::int64_t ns = config_.conceal_cost_ns;
+  if (slice_faulted(config_, pic.gop, pic.pic_in_gop, s)) {
+    ++result_.concealed_slices;
+  } else {
+    ns = profile_.slice_cost_ns(pic.cost->slices[static_cast<std::size_t>(s)],
+                                config_.measured_costs);
+  }
+  return static_cast<std::int64_t>(static_cast<double>(ns) *
+                                   config_.cost_scale);
+}
+
+/// When the next GOP enters the queue: at its scan end, and under
+/// max_queued_gops not before GOP g - bound left it (kInf until it has).
+std::int64_t Model::next_admission() const {
+  if (next_admit_ >= gops_.size()) return kInf;
+  const Gop& gop = gops_[next_admit_];
+  const int bound = config_.max_queued_gops;
+  if (bound > 0 && next_admit_ >= static_cast<std::size_t>(bound)) {
+    return std::max(gop.scanned, gops_[next_admit_ - bound].left_queue);
+  }
+  return gop.scanned;
+}
+
+void Model::admit(std::int64_t now) {
+  for (std::int64_t t = next_admission(); t <= now; t = next_admission()) {
+    const int g = static_cast<int>(next_admit_++);
+    Gop& gop = gops_[static_cast<std::size_t>(g)];
+    gop.admitted = t;
+    if (config_.granularity != Granularity::kSlice) {
+      queues_[config_.numa_local_queues ? static_cast<std::size_t>(gop.home)
+                                        : 0]
+          .push_back(g);
+      ++queued_;
+      continue;
+    }
+    ++result_.exploded_gops;
+    gop.exploded = true;
+    session_.end += static_cast<int>(gop.cost->pictures.size());
+    if (gop.cost->pictures.empty()) leave_queue(g, t);
+  }
+}
+
+/// Opens the chain's pictures that may open at `now`: in decode order,
+/// references complete, fewer than max_open_ open.
+void Model::open_eligible(Chain& chain, std::int64_t now) {
+  while (chain.next < chain.end && chain.open < max_open_) {
+    Pic& pic = pics_[static_cast<std::size_t>(chain.next)];
+    for (const int r : pic.refs) {
+      if (r >= 0 && !pics_[static_cast<std::size_t>(r)].complete) return;
+    }
+    pic.alloc = now;
+    pic.remaining = static_cast<int>(pic.cost->slices.size());
+    mem_.emplace_back(now, fb_);
+    if (pic.pic_in_gop == 0 && config_.granularity == Granularity::kSlice) {
+      leave_queue(pic.gop, now);
+    }
+    ++chain.open;
+    ++chain.next;
+  }
+}
+
+/// The lowest open picture with an unclaimed slice, or -1.
+int Model::find_slice() {
+  for (Chain* chain : chains_) {
+    for (int i = chain->first_active; i < chain->next; ++i) {
+      const Pic& pic = pics_[static_cast<std::size_t>(i)];
+      if (pic.complete && i == chain->first_active) {
+        ++chain->first_active;
+        continue;
+      }
+      if (!pic.complete &&
+          pic.next_slice < static_cast<int>(pic.cost->slices.size())) {
+        return i;
+      }
+    }
+  }
+  return -1;
+}
+
+/// Worker `w`'s next GOP from the queue, or -1. With per-cluster queues a
+/// worker waits for its own cluster's GOPs while any remain unclaimed,
+/// then takes the head scanned first.
+int Model::pop_gop(int w) {
+  std::size_t q = 0;
+  if (config_.numa_local_queues) {
+    const auto own = static_cast<std::size_t>(cluster_of(w));
+    if (unclaimed_[own] > 0) {
+      q = own;
+    } else {
+      std::int64_t best = kInf;
+      for (std::size_t i = 0; i < queues_.size(); ++i) {
+        if (queues_[i].empty()) continue;
+        const std::int64_t t =
+            gops_[static_cast<std::size_t>(queues_[i].front())].admitted;
+        if (t < best) {
+          best = t;
+          q = i;
+        }
+      }
+    }
+  }
+  if (queues_[q].empty()) return -1;
+  const int g = queues_[q].front();
+  queues_[q].pop_front();
+  --unclaimed_[static_cast<std::size_t>(
+      gops_[static_cast<std::size_t>(g)].home)];
+  return g;
+}
+
+/// Hands worker `w` one claim at `now`, if it can take one.
+bool Model::try_assign(const Idle& w, std::int64_t now) {
+  int p = find_slice();
+  if (p < 0) {
+    const int g = pop_gop(w.id);
+    if (g < 0) return false;
+    Gop& gop = gops_[static_cast<std::size_t>(g)];
+    // The popped GOP still counts in the queue depth, as in the engine.
+    const bool explode =
+        config_.granularity == Granularity::kAdaptive &&
+        !gop.cost->pictures.empty() &&
+        should_explode(config_.policy, config_.workers, queued_, ewma_,
+                       gop.cost->stream_bytes);
+    --queued_;
+    if (!explode) {
+      ++result_.gop_mode_gops;
+      run_whole(w, now, g);
+      return true;
+    }
+    ++result_.exploded_gops;
+    gop.exploded = true;
+    leave_queue(g, now + config_.queue_overhead_ns);
+    const int n = static_cast<int>(gop.cost->pictures.size());
+    gop.chain = {gop.first_pic, gop.first_pic + n, gop.first_pic,
+                 gop.first_pic, 0};
+    chains_.insert(std::lower_bound(chains_.begin(), chains_.end(),
+                                    gop.first_pic,
+                                    [](const Chain* c, int first) {
+                                      return c->begin < first;
+                                    }),
+                   &gop.chain);
+    open_eligible(gop.chain, now);
+    p = find_slice();
+    assert(p >= 0);
+  }
+  run_slice(w, now, p);
+  return true;
+}
+
+/// A whole-GOP claim: its pictures in decode order on worker `w`.
+void Model::run_whole(const Idle& w, std::int64_t now, int g) {
+  Gop& gop = gops_[static_cast<std::size_t>(g)];
+  const std::int64_t start = now + config_.queue_overhead_ns;
+  leave_queue(g, start);
+  auto& stats = result_.workers[static_cast<std::size_t>(w.id)];
+  stats.sync_ns += start - w.since;
+  wait_span(w, now, start, obs::SpanKind::kQueueWait);
+  const bool remote =
+      config_.cluster_size > 0 && cluster_of(w.id) != gop.home;
+  if (remote) ++stats.remote_tasks;
+  const double penalty = remote ? config_.remote_penalty : 1.0;
+  std::int64_t t = start;
+  for (int i = 0; i < static_cast<int>(gop.cost->pictures.size()); ++i) {
+    Pic& pic = pics_[static_cast<std::size_t>(gop.first_pic + i)];
+    std::int64_t cost = 0;
+    for (int s = 0; s < static_cast<int>(pic.cost->slices.size()); ++s) {
+      cost += slice_cost(pic, s);
+    }
+    cost = static_cast<std::int64_t>(static_cast<double>(cost) * penalty);
+    pic.alloc = t;
+    t += cost;
+    stats.busy_ns += cost;
+    pic.completion = t;
+    if (config_.tracer) {
+      config_.tracer->emit(w.id, obs::SpanKind::kPicture, pic.alloc, t,
+                           pic.display_index, -1, g);
+    }
+  }
+  ++stats.tasks;
+  if (config_.tracer) {
+    config_.tracer->emit(w.id, obs::SpanKind::kGopTask, start, t, -1, -1, g);
+  }
+  gop.cost_ns = t - start;
+  // The GOP's bytes sit in the stream buffer from admission to decode end.
+  const auto bytes = static_cast<std::int64_t>(gop.cost->stream_bytes);
+  stream_.emplace_back(gop.admitted, bytes);
+  stream_.emplace_back(t, -bytes);
+  events_.push({t, w.id, g, -1});
+}
+
+/// One slice task of open picture `p` on worker `w`.
+void Model::run_slice(const Idle& w, std::int64_t now, int p) {
+  Pic& pic = pics_[static_cast<std::size_t>(p)];
+  const int s = pic.next_slice++;
+  std::int64_t cost = slice_cost(pic, s);
+  if (s == 0) cost += config_.picture_overhead_ns;
+  const bool remote =
+      config_.cluster_size > 0 && cluster_of(w.id) != p % clusters_;
+  if (remote) {
+    cost = static_cast<std::int64_t>(static_cast<double>(cost) *
+                                     config_.remote_penalty);
+  }
+  const std::int64_t start = now + config_.queue_overhead_ns;
+  auto& stats = result_.workers[static_cast<std::size_t>(w.id)];
+  stats.sync_ns += start - w.since;
+  stats.busy_ns += cost;
+  ++stats.tasks;
+  if (remote) ++stats.remote_tasks;
+  gops_[static_cast<std::size_t>(pic.gop)].cost_ns += cost;
+  wait_span(w, now, start, stall_);
+  if (config_.tracer) {
+    config_.tracer->emit(w.id, obs::SpanKind::kSliceTask, start, start + cost,
+                         p, s);
+  }
+  events_.push({start + cost, w.id, pic.gop, p});
+}
+
+/// Settles a finished claim; returns the pictures it completed.
+int Model::complete(const Event& e) {
+  Gop& gop = gops_[static_cast<std::size_t>(e.gop)];
+  int done = static_cast<int>(gop.cost->pictures.size());
+  if (e.pic >= 0) {
+    Pic& pic = pics_[static_cast<std::size_t>(e.pic)];
+    if (--pic.remaining > 0) return 0;
+    pic.complete = true;
+    pic.completion = e.finish;
+    for (const int r : pic.refs) {
+      if (r >= 0) {
+        auto& ref = pics_[static_cast<std::size_t>(r)];
+        ref.last_ref_use = std::max(ref.last_ref_use, e.finish);
+      }
+    }
+    Chain& chain =
+        config_.granularity == Granularity::kSlice ? session_ : gop.chain;
+    --chain.open;
+    done = 1;
+    if (--gop.pictures_left > 0) return done;
+    if (&chain != &session_) {
+      chains_.erase(std::find(chains_.begin(), chains_.end(), &chain));
+    }
+  }
+  ewma_.observe(gop.cost_ns, gop.cost->stream_bytes);
+  return done;
+}
+
+/// Why idle workers are stalling right now, mirroring the engine: a chain
+/// at its open bound -> backpressure; a picture waiting on references ->
+/// barrier; otherwise the queue is empty (the scan is behind).
+obs::SpanKind Model::stall_kind() const {
+  obs::SpanKind kind = obs::SpanKind::kQueueWait;
+  for (const Chain* chain : chains_) {
+    if (chain->next >= chain->end) continue;
+    if (chain->open >= max_open_) return obs::SpanKind::kBackpressure;
+    kind = obs::SpanKind::kBarrierWait;
+  }
+  return kind;
+}
+
+SimResult Model::run() {
+  int remaining = result_.pictures;
+  std::int64_t now = 0;
+  while (remaining > 0) {
+    admit(now);
+    for (Chain* chain : chains_) open_eligible(*chain, now);
+    // Hand out work earliest-idle first until no idle worker can progress.
+    bool assigned = true;
+    while (assigned && !idle_.empty()) {
+      assigned = false;
+      std::stable_sort(idle_.begin(), idle_.end(),
+                       [](const Idle& a, const Idle& b) {
+                         return a.since < b.since;
+                       });
+      for (std::size_t i = 0; i < idle_.size(); ++i) {
+        if (try_assign(idle_[i], now)) {
+          idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(i));
+          assigned = true;
+          break;
+        }
+      }
+    }
+    if (!idle_.empty()) stall_ = stall_kind();
+
+    // Advance virtual time to the next completion or admission.
+    const std::int64_t arrival = next_admission();
+    if (!events_.empty() && events_.top().finish <= arrival) {
+      const Event e = events_.top();
+      events_.pop();
+      now = std::max(now, e.finish);
+      remaining -= complete(e);
+      idle_.push_back({e.finish, e.worker});
+    } else if (arrival != kInf) {
+      now = std::max(now, arrival);
+    } else {
+      // No events, no admissions, yet pictures remain: the profile is
+      // malformed (should be unreachable).
+      assert(events_.empty());
+      break;
+    }
+  }
+
+  std::vector<std::int64_t> completion(
+      static_cast<std::size_t>(result_.pictures), 0);
+  for (const Pic& pic : pics_) {
+    completion[static_cast<std::size_t>(pic.display_index)] = pic.completion;
+  }
+  // Display order: picture i displays when complete and all earlier
+  // pictures have displayed (optionally paced at the frame rate).
+  std::vector<std::int64_t> display(completion.size());
+  const auto period = static_cast<std::int64_t>(1e9 / profile_.frame_rate);
+  std::int64_t prev = -period;
+  for (std::size_t i = 0; i < display.size(); ++i) {
+    std::int64_t t = std::max(completion[i], prev);
+    if (config_.paced_display) t = std::max(t, prev + period);
+    display[i] = t;
+    prev = t;
+  }
+  result_.makespan_ns = display.empty() ? 0 : display.back();
+
+  // Frame latency: display minus the time the picture's bytes passed the
+  // scan head. Pictures within a GOP arrive in equal shares of its bytes —
+  // deliberately finer than the per-GOP admission, so latencies include
+  // the GOP-boundary admission delay. Clamped at zero: an instant decode
+  // can display a frame at its arrival instant.
+  result_.frame_latency_ns.resize(display.size());
+  std::uint64_t scanned = 0;
+  for (const Gop& gop : gops_) {
+    const auto& pictures = gop.cost->pictures;
+    const std::uint64_t per_pic =
+        pictures.empty() ? 0 : gop.cost->stream_bytes / pictures.size();
+    for (const PictureCost& pc : pictures) {
+      scanned += per_pic;
+      const auto i =
+          static_cast<std::size_t>(gop.display_base + pc.temporal_reference);
+      result_.frame_latency_ns[i] =
+          std::max<std::int64_t>(0, display[i] - scan_ready(scanned));
+    }
+  }
+
+  for (const Pic& pic : pics_) {
+    const Gop& gop = gops_[static_cast<std::size_t>(pic.gop)];
+    std::int64_t freed =
+        display[static_cast<std::size_t>(pic.display_index)];
+    if (gop.exploded) {
+      freed = std::max(freed, pic.last_ref_use);
+    } else {
+      // A whole claim holds every frame of its GOP until the GOP ends.
+      const int last = gop.first_pic +
+                       static_cast<int>(gop.cost->pictures.size()) - 1;
+      mem_.emplace_back(pic.alloc, fb_);
+      freed =
+          std::max(freed, pics_[static_cast<std::size_t>(last)].completion);
+    }
+    mem_.emplace_back(freed, -fb_);
+  }
+  std::sort(stream_.begin(), stream_.end());
+  mem_.insert(mem_.end(), stream_.begin(), stream_.end());
+  build_timeline(std::move(mem_), result_);
+  std::int64_t bytes = 0;
+  for (const auto& [t, delta] : stream_) {
+    bytes += delta;
+    result_.peak_stream_bytes = std::max(result_.peak_stream_bytes, bytes);
+  }
+  return std::move(result_);
 }
 
 }  // namespace
@@ -108,477 +693,8 @@ parallel::WorkerLoadSummary SimResult::load_summary() const {
   return parallel::summarize_load(busy, sync, idle, tasks);
 }
 
-// ---------------------------------------------------------------------------
-// GOP-level simulation
-// ---------------------------------------------------------------------------
-SimResult simulate_gop(const StreamProfile& profile, const SimConfig& config) {
-  SimResult result;
-  result.workers.resize(static_cast<std::size_t>(config.workers));
-  const double rate = scan_rate(profile, config);
-  const int n_clusters =
-      config.cluster_size > 0
-          ? (config.workers + config.cluster_size - 1) / config.cluster_size
-          : 1;
-  auto cluster_of = [&](int w) {
-    return config.cluster_size > 0 ? w / config.cluster_size : 0;
-  };
-
-  struct Task {
-    int gop;
-    std::int64_t ready;
-    int display_base;
-    int home;
-  };
-  std::vector<Task> tasks;
-  {
-    ScanTrack scan_track(config);
-    std::uint64_t scanned = 0;
-    int display_base = 0;
-    for (std::size_t g = 0; g < profile.gops.size(); ++g) {
-      scanned += profile.gops[g].stream_bytes;
-      scan_track.gop_scanned(static_cast<int>(g),
-                             static_cast<std::int64_t>(scanned / rate));
-      Task t;
-      t.gop = static_cast<int>(g);
-      t.ready = scan_ready_ns(profile, config, rate, scanned);
-      t.display_base = display_base;
-      t.home = static_cast<int>(g) % n_clusters;
-      display_base += static_cast<int>(profile.gops[g].pictures.size());
-      tasks.push_back(t);
-    }
-    result.pictures = display_base;
-  }
-
-  // Per-cluster FIFO queues (one queue when UMA).
-  std::vector<std::deque<int>> queues(
-      config.numa_local_queues ? static_cast<std::size_t>(n_clusters) : 1);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::size_t q =
-        config.numa_local_queues ? static_cast<std::size_t>(tasks[i].home) : 0;
-    queues[q].push_back(static_cast<int>(i));
-  }
-
-  std::vector<std::int64_t> free_time(
-      static_cast<std::size_t>(config.workers), 0);
-  std::vector<std::int64_t> completion_by_display(
-      static_cast<std::size_t>(result.pictures), 0);
-  // Memory bookkeeping per picture.
-  struct PicMem {
-    std::int64_t alloc = 0;
-    std::int64_t gop_finish = 0;
-    bool is_ref = false;
-  };
-  std::vector<PicMem> pic_mem(static_cast<std::size_t>(result.pictures));
-
-  int remaining = static_cast<int>(tasks.size());
-  std::vector<std::pair<std::int64_t, std::int64_t>> mem_events;
-  std::vector<std::pair<std::int64_t, std::int64_t>> stream_events;
-  std::vector<std::int64_t> start_times;  // per started task, in order
-  while (remaining > 0) {
-    // The earliest-free worker takes the next task it may run.
-    int w = 0;
-    for (int i = 1; i < config.workers; ++i) {
-      if (free_time[static_cast<std::size_t>(i)] <
-          free_time[static_cast<std::size_t>(w)]) {
-        w = i;
-      }
-    }
-    const std::int64_t now = free_time[static_cast<std::size_t>(w)];
-    // Pick a task: own-cluster queue first, then steal the task that is
-    // ready soonest.
-    int chosen_q = -1;
-    if (config.numa_local_queues) {
-      const int own = cluster_of(w);
-      if (!queues[static_cast<std::size_t>(own)].empty()) {
-        chosen_q = own;
-      } else {
-        std::int64_t best_ready = kInf;
-        for (std::size_t q = 0; q < queues.size(); ++q) {
-          if (queues[q].empty()) continue;
-          const std::int64_t r = tasks[static_cast<std::size_t>(
-                                           queues[q].front())].ready;
-          if (r < best_ready) {
-            best_ready = r;
-            chosen_q = static_cast<int>(q);
-          }
-        }
-      }
-    } else {
-      chosen_q = 0;
-    }
-    assert(chosen_q >= 0);
-    const Task task =
-        tasks[static_cast<std::size_t>(queues[static_cast<std::size_t>(
-                                                  chosen_q)].front())];
-    queues[static_cast<std::size_t>(chosen_q)].pop_front();
-    --remaining;
-
-    // Bounded queue: the scan may only have pushed this task once fewer
-    // than max_queued_gops tasks sat unstarted, i.e. after task
-    // (i - bound) started.
-    std::int64_t ready = task.ready;
-    if (config.max_queued_gops > 0) {
-      const int idx = static_cast<int>(start_times.size());
-      const int gate = idx - config.max_queued_gops;
-      if (gate >= 0) {
-        ready = std::max(ready,
-                         start_times[static_cast<std::size_t>(gate)]);
-      }
-    }
-    const std::int64_t start =
-        std::max(now, ready) + config.queue_overhead_ns;
-    start_times.push_back(start);
-    const bool remote =
-        config.cluster_size > 0 && cluster_of(w) != task.home;
-    const double penalty = remote ? config.remote_penalty : 1.0;
-
-    auto& stats = result.workers[static_cast<std::size_t>(w)];
-    stats.sync_ns += start - now;
-    if (remote) ++stats.remote_tasks;
-    if (config.tracer && start > now) {
-      // A GOP worker only stalls for the scan process / empty task queue.
-      config.tracer->emit(w, obs::SpanKind::kQueueWait, now, start);
-    }
-
-    const GopCost& gop = profile.gops[static_cast<std::size_t>(task.gop)];
-    std::int64_t t = start;
-    for (std::size_t p = 0; p < gop.pictures.size(); ++p) {
-      const PictureCost& pic = gop.pictures[p];
-      std::int64_t cost = 0;
-      for (std::size_t s = 0; s < pic.slices.size(); ++s) {
-        cost += faulted_task_cost(profile, pic.slices[s], config, task.gop,
-                                  static_cast<int>(p), static_cast<int>(s),
-                                  result.concealed_slices);
-      }
-      cost = static_cast<std::int64_t>(static_cast<double>(cost) * penalty);
-      const std::int64_t alloc = t;
-      t += cost;
-      stats.busy_ns += cost;
-      const int display_index = task.display_base + pic.temporal_reference;
-      completion_by_display[static_cast<std::size_t>(display_index)] = t;
-      auto& pm = pic_mem[static_cast<std::size_t>(display_index)];
-      pm.alloc = alloc;
-      pm.is_ref = pic.type != mpeg2::PictureType::kB;
-      if (config.tracer) {
-        config.tracer->emit(w, obs::SpanKind::kPicture, alloc, t,
-                            display_index, -1, task.gop);
-      }
-    }
-    ++stats.tasks;
-    if (config.tracer) {
-      config.tracer->emit(w, obs::SpanKind::kGopTask, start, t, -1, -1,
-                          task.gop);
-    }
-    free_time[static_cast<std::size_t>(w)] = t;
-    for (std::size_t p = 0; p < gop.pictures.size(); ++p) {
-      pic_mem[static_cast<std::size_t>(
-                  task.display_base +
-                  gop.pictures[p].temporal_reference)].gop_finish = t;
-    }
-    // Stream buffer: the GOP's bytes live from scan-push until decode
-    // finish.
-    mem_events.emplace_back(ready,
-                            static_cast<std::int64_t>(gop.stream_bytes));
-    mem_events.emplace_back(t, -static_cast<std::int64_t>(gop.stream_bytes));
-    stream_events.emplace_back(ready,
-                               static_cast<std::int64_t>(gop.stream_bytes));
-    stream_events.emplace_back(t,
-                               -static_cast<std::int64_t>(gop.stream_bytes));
-  }
-
-  const auto displays =
-      display_times(completion_by_display, config, profile.frame_rate);
-  result.makespan_ns = displays.empty() ? 0 : displays.back();
-  fill_latencies(displays, picture_arrivals(profile, config, rate), result);
-
-  // A worker owns its GOP's frame buffers for the whole task (the paper's
-  // decoder allocates per-GOP; Fig. 8 shows memory linear in workers x GOP
-  // size): each picture's buffer lives from its decode to
-  // max(display, GOP decode end).
-  const std::int64_t fb = profile.frame_bytes();
-  for (std::size_t i = 0; i < pic_mem.size(); ++i) {
-    const auto& pm = pic_mem[i];
-    const std::int64_t freed = std::max(displays[i], pm.gop_finish);
-    mem_events.emplace_back(pm.alloc, fb);
-    mem_events.emplace_back(freed, -fb);
-  }
-  build_timeline(std::move(mem_events), result);
-  // Scan-ahead buffer peak (the scan(t) term of the paper's Fig. 9).
-  {
-    std::sort(stream_events.begin(), stream_events.end());
-    std::int64_t bytes = 0;
-    for (const auto& [t, delta] : stream_events) {
-      bytes += delta;
-      result.peak_stream_bytes = std::max(result.peak_stream_bytes, bytes);
-    }
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Slice-level simulation
-// ---------------------------------------------------------------------------
-SimResult simulate_slice(const StreamProfile& profile, const SimConfig& config,
-                         parallel::SlicePolicy policy) {
-  SimResult result;
-  result.workers.resize(static_cast<std::size_t>(config.workers));
-  const double rate = scan_rate(profile, config);
-
-  struct SPic {
-    const PictureCost* cost = nullptr;
-    int display_index = 0;
-    int gop = 0;         // fault-model hash coordinates
-    int pic_in_gop = 0;
-    int deps[2] = {-1, -1};  // scheduling dependencies (policy-specific)
-    int refs[2] = {-1, -1};  // actual reference pictures (for memory)
-    std::int64_t scan_ready = 0;
-    // Runtime:
-    bool open = false;
-    bool complete = false;
-    int next_slice = 0;
-    int remaining = 0;
-    std::int64_t open_time = 0;
-    std::int64_t completion = 0;
-    std::int64_t last_ref_use = 0;
-  };
-  std::vector<SPic> pics;
-  {
-    ScanTrack scan_track(config);
-    int display_base = 0;
-    int older = -1, newest = -1;
-    std::uint64_t gop_scanned = 0;
-    int gop_index = 0;
-    for (const auto& gop : profile.gops) {
-      // Admission is per-GOP, matching the real slice decoder: the scan
-      // appends a GOP's pictures only once next_gop() has walked the whole
-      // GOP, so every picture of GOP g becomes available at g's scan-end
-      // time. (The latency objective's *arrival* stays per-picture — see
-      // picture_arrivals — so latencies include this admission delay.)
-      gop_scanned += gop.stream_bytes;
-      scan_track.gop_scanned(gop_index,
-                             static_cast<std::int64_t>(gop_scanned / rate));
-      ++gop_index;
-      for (std::size_t p = 0; p < gop.pictures.size(); ++p) {
-        const auto& pc = gop.pictures[p];
-        SPic pic;
-        pic.cost = &pc;
-        pic.gop = gop_index - 1;  // gop_index already advanced
-        pic.pic_in_gop = static_cast<int>(p);
-        pic.display_index = display_base + pc.temporal_reference;
-        const int index = static_cast<int>(pics.size());
-        pic.scan_ready = scan_ready_ns(profile, config, rate, gop_scanned);
-        switch (pc.type) {
-          case mpeg2::PictureType::kI:
-            break;
-          case mpeg2::PictureType::kP:
-            pic.refs[0] = newest;
-            break;
-          case mpeg2::PictureType::kB:
-            pic.refs[0] = older;
-            pic.refs[1] = newest;
-            break;
-        }
-        if (policy == parallel::SlicePolicy::kSimple) {
-          pic.deps[0] = index - 1;
-        } else {
-          pic.deps[0] = pic.refs[0];
-          pic.deps[1] = pic.refs[1];
-        }
-        if (pc.type != mpeg2::PictureType::kB) {
-          older = newest;
-          newest = index;
-        }
-        pics.push_back(pic);
-      }
-      display_base += static_cast<int>(gop.pictures.size());
-    }
-    result.pictures = display_base;
-  }
-  const int n = static_cast<int>(pics.size());
-  const int max_open = policy == parallel::SlicePolicy::kSimple
-                           ? 1
-                           : std::max(1, config.max_open_pictures);
-
-  // Event-driven simulation.
-  struct Event {
-    std::int64_t finish;
-    int worker;
-    int pic;
-    bool operator>(const Event& o) const { return finish > o.finish; }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  struct IdleWorker {
-    std::int64_t since;
-    int id;
-  };
-  std::vector<IdleWorker> idle;
-  for (int w = 0; w < config.workers; ++w) idle.push_back({0, w});
-
-  const int n_clusters =
-      config.cluster_size > 0
-          ? (config.workers + config.cluster_size - 1) / config.cluster_size
-          : 1;
-  auto cluster_of = [&](int w) {
-    return config.cluster_size > 0 ? w / config.cluster_size : 0;
-  };
-  auto pic_home = [&](int p) { return p % n_clusters; };
-
-  std::int64_t now = 0;
-  int next_to_open = 0;
-  int open_count = 0;
-  int completed = 0;
-  std::vector<std::pair<std::int64_t, std::int64_t>> mem_events;
-  const std::int64_t fb = profile.frame_bytes();
-
-  auto deps_complete = [&](const SPic& pic) {
-    for (const int d : pic.deps) {
-      if (d >= 0 && !pics[static_cast<std::size_t>(d)].complete) return false;
-    }
-    return true;
-  };
-
-  // Opens pictures eligible at time `t`; returns the earliest future scan
-  // time blocking an otherwise-eligible open (kInf if none).
-  auto open_eligible = [&](std::int64_t t) {
-    std::int64_t blocked_until = kInf;
-    while (next_to_open < n && open_count < max_open) {
-      SPic& pic = pics[static_cast<std::size_t>(next_to_open)];
-      if (!deps_complete(pic)) break;
-      if (pic.scan_ready > t) {
-        blocked_until = pic.scan_ready;
-        break;
-      }
-      pic.open = true;
-      pic.open_time = t;
-      pic.remaining = static_cast<int>(pic.cost->slices.size());
-      mem_events.emplace_back(t, fb);
-      ++open_count;
-      ++next_to_open;
-    }
-    return blocked_until;
-  };
-
-  int first_active = 0;
-  auto find_slice = [&]() -> int {
-    for (int i = first_active; i < next_to_open; ++i) {
-      SPic& pic = pics[static_cast<std::size_t>(i)];
-      if (pic.complete && i == first_active) {
-        ++first_active;
-        continue;
-      }
-      if (pic.open && !pic.complete &&
-          pic.next_slice < static_cast<int>(pic.cost->slices.size())) {
-        return i;
-      }
-    }
-    return -1;
-  };
-
-  // Classified cause of the most recent stall, used to label idle-worker
-  // wait spans (deterministic: derived purely from scheduler state).
-  obs::SpanKind stall_kind = obs::SpanKind::kBarrierWait;
-  while (completed < n) {
-    const std::int64_t scan_block = open_eligible(now);
-    bool assigned = false;
-    while (!idle.empty()) {
-      const int p = find_slice();
-      if (p < 0) break;
-      // Earliest-idle worker takes the slice (FIFO fairness).
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < idle.size(); ++i) {
-        if (idle[i].since < idle[best].since) best = i;
-      }
-      const IdleWorker w = idle[best];
-      idle.erase(idle.begin() + static_cast<std::ptrdiff_t>(best));
-      SPic& pic = pics[static_cast<std::size_t>(p)];
-      const int s = pic.next_slice++;
-      std::int64_t cost = faulted_task_cost(
-          profile, pic.cost->slices[static_cast<std::size_t>(s)], config,
-          pic.gop, pic.pic_in_gop, s, result.concealed_slices);
-      if (s == 0) cost += config.picture_overhead_ns;
-      const bool remote =
-          config.cluster_size > 0 && cluster_of(w.id) != pic_home(p);
-      if (remote) {
-        cost = static_cast<std::int64_t>(static_cast<double>(cost) *
-                                         config.remote_penalty);
-      }
-      const std::int64_t start = now + config.queue_overhead_ns;
-      auto& stats = result.workers[static_cast<std::size_t>(w.id)];
-      stats.sync_ns += now - w.since;
-      stats.busy_ns += cost + config.queue_overhead_ns;
-      ++stats.tasks;
-      if (remote) ++stats.remote_tasks;
-      if (config.tracer) {
-        if (now > w.since) {
-          config.tracer->emit(w.id, stall_kind, w.since, now);
-        }
-        config.tracer->emit(w.id, obs::SpanKind::kSliceTask, start,
-                            start + cost, p, s);
-      }
-      events.push({start + cost, w.id, p});
-      assigned = true;
-    }
-    if (assigned) continue;
-    if (!idle.empty()) {
-      // Workers are stalling right now; classify why, mirroring the real
-      // Coordinator: scan not far enough ahead -> queue-empty; open-picture
-      // bound reached -> backpressure; otherwise a picture dependency.
-      stall_kind = scan_block != kInf ? obs::SpanKind::kQueueWait
-                   : (next_to_open < n && open_count >= max_open)
-                       ? obs::SpanKind::kBackpressure
-                       : obs::SpanKind::kBarrierWait;
-    }
-
-    // Nothing to assign: advance time to the next completion or scan point.
-    if (!events.empty() &&
-        (scan_block == kInf || events.top().finish <= scan_block)) {
-      const Event e = events.top();
-      events.pop();
-      now = std::max(now, e.finish);
-      SPic& pic = pics[static_cast<std::size_t>(e.pic)];
-      if (--pic.remaining == 0) {
-        pic.complete = true;
-        pic.completion = e.finish;
-        ++completed;
-        --open_count;
-        for (const int r : pic.refs) {
-          if (r >= 0) {
-            pics[static_cast<std::size_t>(r)].last_ref_use = std::max(
-                pics[static_cast<std::size_t>(r)].last_ref_use, e.finish);
-          }
-        }
-      }
-      idle.push_back({e.finish, e.worker});
-    } else if (scan_block != kInf) {
-      now = scan_block;
-    } else {
-      // No events, no scan progress possible, yet work remains: the
-      // dependency graph is stuck (malformed stream profile).
-      assert(events.empty());
-      break;
-    }
-  }
-
-  std::vector<std::int64_t> completion_by_display(
-      static_cast<std::size_t>(result.pictures), 0);
-  for (const auto& pic : pics) {
-    completion_by_display[static_cast<std::size_t>(pic.display_index)] =
-        pic.completion;
-  }
-  const auto displays =
-      display_times(completion_by_display, config, profile.frame_rate);
-  result.makespan_ns = displays.empty() ? 0 : displays.back();
-  fill_latencies(displays, picture_arrivals(profile, config, rate), result);
-
-  for (int i = 0; i < n; ++i) {
-    const SPic& pic = pics[static_cast<std::size_t>(i)];
-    const std::int64_t display =
-        displays[static_cast<std::size_t>(pic.display_index)];
-    const std::int64_t freed = std::max(display, pic.last_ref_use);
-    mem_events.emplace_back(freed, -fb);
-  }
-  build_timeline(std::move(mem_events), result);
-  return result;
+SimResult simulate(const StreamProfile& profile, const SimConfig& config) {
+  return Model(profile, config).run();
 }
 
 }  // namespace pmp2::sched

@@ -1,22 +1,30 @@
 // Virtual-time multiprocessor simulator.
 //
-// Replays the two parallel-decoder scheduling policies (GOP-level and
-// slice-level, simple/improved) over a StreamProfile on a simulated
-// P-processor shared-memory machine: a scan process feeding a task queue,
-// P worker processes, and a display process, exactly the paper's Fig. 4
-// pipeline. Produces the quantities of the paper's evaluation — speedup,
-// per-worker compute/sync time, load balance, memory-over-time — for any
-// processor count, deterministically.
+// One event-driven model of the engine's pipeline (the paper's Fig. 4: a
+// scan process feeding a task queue, P worker processes, and a display
+// process) over a StreamProfile on a simulated P-processor shared-memory
+// machine. The scan admits each GOP to a single FIFO once its bytes are
+// scanned; idle workers claim work earliest-idle first; the granularity
+// (sched/adaptive.h) sets what a popped GOP becomes — one whole-GOP task,
+// or slice tasks along a decode-order picture chain. Produces the
+// quantities of the paper's evaluation — speedup, per-worker compute/sync
+// time, load balance, memory-over-time — for any processor count,
+// deterministically.
+//
+// Accounting rule: every claim's queue access (queue_overhead_ns) is
+// charged to the claiming worker's sync time, as the engine's claim loop
+// times the lock and dequeue as waiting.
 //
 // An optional NUMA extension models the paper's §7.2 DASH experiments:
 // clustered processors, a cost penalty for operating on remote data, and
-// optional per-cluster task queues with stealing.
+// optional per-cluster GOP queues.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "parallel/slice_parallel.h"
+#include "parallel/stats.h"
+#include "sched/adaptive.h"
 #include "sched/profile.h"
 
 namespace pmp2::obs {
@@ -27,6 +35,10 @@ namespace pmp2::sched {
 
 struct SimConfig {
   int workers = 4;
+  /// What a GOP popped from the queue becomes (sched/adaptive.h).
+  Granularity granularity = Granularity::kWholeGop;
+  /// kAdaptive only: the explode decision's knobs.
+  AdaptivePolicy policy;
   /// false (default): deterministic work-unit costs scaled by the profile's
   /// calibration constant; true: raw measured per-slice nanoseconds.
   bool measured_costs = false;
@@ -37,30 +49,32 @@ struct SimConfig {
   /// so completely that the display backlog hides the workers x GOP-size
   /// effect the paper measured.
   double cost_scale = 1.0;
-  /// Cost of one task-queue access (lock + dequeue). The paper measured
-  /// this to be negligible; it is modelled anyway.
+  /// Cost of one task-queue access (lock + dequeue), charged to sync. The
+  /// paper measured this to be negligible; it is modelled anyway.
   std::int64_t queue_overhead_ns = 1'000;
-  /// Per-picture overhead in the slice decoders (re-reading picture
-  /// headers, §5.2.1), charged to the worker that opens the picture.
+  /// Per-picture overhead of exploded pictures (re-reading picture
+  /// headers, §5.2.1), charged to the worker that claims its first slice.
   std::int64_t picture_overhead_ns = 20'000;
-  /// Model the scan process: a task only becomes available once its bytes
-  /// have been scanned. When false all tasks are ready at t = 0.
+  /// Model the scan process: a GOP only enters the queue once its bytes
+  /// have been scanned. When false all GOPs are ready at t = 0.
   bool model_scan = true;
   /// Pre-streaming front-end: the entire stream is scanned before any task
   /// becomes ready (the Amdahl-style upfront input stage). Default false =
-  /// streaming demux, where a task is ready as soon as its own bytes have
+  /// streaming demux, where a GOP is ready as soon as its own bytes have
   /// been scanned. Only meaningful when model_scan is set.
   bool upfront_scan = false;
-  /// GOP simulation only: bound on GOP tasks sitting in the queue
-  /// unstarted (the scan process blocks when full). 0 = unbounded, the
-  /// paper's configuration.
+  /// Bound on admitted GOPs not yet started: GOP g enters the queue only
+  /// once GOP g - max_queued_gops has left it (claimed, or under kSlice
+  /// its first picture opened). 0 = unbounded, the paper's configuration.
   int max_queued_gops = 0;
   /// Scan throughput; 0 derives it from the profile's measured scan time.
   double scan_bytes_per_ns = 0.0;
   /// Pace the display process at the stream frame rate (used by the memory
   /// timeline experiments; throughput experiments leave it off).
   bool paced_display = false;
-  /// Maximum pictures concurrently open in the improved slice policy.
+  /// Pictures open at once on a picture chain: kSlice's session-wide chain
+  /// (1 is the paper's simple slice policy, 3 its improved one) and each
+  /// GOP kAdaptive explodes.
   int max_open_pictures = 3;
 
   // --- Concealment cost model (fault-injection what-if analysis) ---
@@ -79,7 +93,10 @@ struct SimConfig {
   // --- NUMA extension (§7.2) ---
   int cluster_size = 0;         // 0 = centralized memory (UMA)
   double remote_penalty = 1.0;  // cost multiplier for remote-homed tasks
-  bool numa_local_queues = false;  // per-cluster queues + stealing
+  /// One GOP queue per cluster (GOPs homed round-robin): a worker takes
+  /// its own cluster's GOPs, and only once none are left takes the queue
+  /// head that was scanned first.
+  bool numa_local_queues = false;
 
   /// Optional span tracer (needs `workers` tracks; with `workers + 1`
   /// tracks the extra track records the scan process as per-GOP kScan
@@ -91,10 +108,9 @@ struct SimConfig {
 
 struct SimWorkerStats {
   std::int64_t busy_ns = 0;  // simulated compute
-  std::int64_t sync_ns = 0;  // simulated waiting (queue empty, barrier)
+  std::int64_t sync_ns = 0;  // simulated waiting and queue access
   int tasks = 0;
   int remote_tasks = 0;  // NUMA: tasks executed away from their home
-  int stolen_tasks = 0;  // adaptive: tasks run for another worker's deque
 };
 
 struct MemSample {
@@ -107,9 +123,16 @@ struct SimResult {
   int pictures = 0;
   int concealed_slices = 0;  // slices the fault model marked corrupt
   std::vector<SimWorkerStats> workers;
-  std::vector<MemSample> memory_timeline;  // stream buffer + frame bytes
+  /// Frame bytes, plus the stream buffer of whole-GOP claims. A whole
+  /// claim owns its GOP's frames until the GOP ends (the paper's Fig. 8
+  /// rule): each lives from its decode to max(display, GOP decode end). An
+  /// exploded picture lives from its open to max(display, last use as a
+  /// reference).
+  std::vector<MemSample> memory_timeline;
   std::int64_t peak_memory = 0;
-  std::int64_t peak_stream_bytes = 0;  // scan-ahead buffer alone (scan(t))
+  /// Scan-ahead buffer alone (the scan(t) term of Fig. 9): a whole-claimed
+  /// GOP's bytes from its admission to its decode end.
+  std::int64_t peak_stream_bytes = 0;
 
   /// Frame-latency objective (the second axis of the bi-criteria Pareto
   /// sweeps next to makespan): per picture, display time minus arrival,
@@ -120,10 +143,9 @@ struct SimResult {
   /// queueing + decode time.
   std::vector<std::int64_t> frame_latency_ns;
 
-  // Adaptive-granularity accounting (simulate_adaptive only).
-  int gop_mode_gops = 0;   // GOPs run whole (throughput mode)
-  int exploded_gops = 0;   // GOPs exploded into slice tasks (latency mode)
-  int stolen_tasks = 0;    // sum over workers of stolen_tasks
+  // Dispatch accounting: how the popped GOPs were run.
+  int gop_mode_gops = 0;  // GOPs run whole (throughput mode)
+  int exploded_gops = 0;  // GOPs exploded into slice tasks (latency mode)
 
   [[nodiscard]] double pictures_per_second() const {
     return makespan_ns > 0 ? pictures * 1e9 / static_cast<double>(makespan_ns)
@@ -142,13 +164,8 @@ struct SimResult {
   [[nodiscard]] parallel::WorkerLoadSummary load_summary() const;
 };
 
-/// Simulates the GOP-level decoder (one task per closed GOP).
-[[nodiscard]] SimResult simulate_gop(const StreamProfile& profile,
-                                     const SimConfig& config);
-
-/// Simulates the slice-level decoder under the given policy.
-[[nodiscard]] SimResult simulate_slice(const StreamProfile& profile,
-                                       const SimConfig& config,
-                                       parallel::SlicePolicy policy);
+/// Runs `profile` through the model at `config.granularity`.
+[[nodiscard]] SimResult simulate(const StreamProfile& profile,
+                                 const SimConfig& config);
 
 }  // namespace pmp2::sched

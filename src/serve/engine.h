@@ -12,6 +12,7 @@
 
 #include "parallel/display.h"
 #include "parallel/stats.h"
+#include "sched/adaptive.h"
 #include "serve/server.h"
 
 namespace pmp2::obs {
@@ -30,18 +31,14 @@ class StageProfiler;
 
 namespace pmp2::serve::detail {
 
-/// How the engine dispatches a session's GOPs. kWholeGop never explodes
-/// (the paper's §5.1 GOP decoder); kAdaptive asks sched::should_explode;
-/// kSlice opens pictures in decode order and decodes each as one task per
-/// macroblock row (the paper's §5.2 slice decoder; an MPEG-1 picture,
-/// whose slices may span rows, is one task).
-enum class Granularity : std::uint8_t { kAdaptive, kWholeGop, kSlice };
-
 /// Everything a façade adds to a plain server session. Every pointer may
 /// be null (zero cost); `live`, when set, replaces the session's own
 /// telemetry surface and must have at least `workers` worker cells.
 struct EngineHooks {
-  Granularity granularity = Granularity::kAdaptive;
+  /// How the engine dispatches the session's GOPs (sched/adaptive.h).
+  /// kSlice's tasks are macroblock rows; an MPEG-1 picture, whose slices
+  /// may span rows, is one task.
+  sched::Granularity granularity = sched::Granularity::kAdaptive;
   /// kSlice only: pictures open at once (1 is parallel::SlicePolicy::
   /// kSimple's barrier at every picture).
   int max_open_pictures = 1;

@@ -117,7 +117,7 @@ RunResult GopParallelDecoder::decode(std::span<const std::uint8_t> stream,
   serve::SessionConfig session;
   session.max_queued_gops = config_.max_queued_gops;
   serve::detail::EngineHooks hooks;
-  hooks.granularity = serve::detail::Granularity::kWholeGop;
+  hooks.granularity = sched::Granularity::kWholeGop;
   return decode_one_session(stream, on_frame, config_, {}, session,
                             std::move(hooks), "gop");
 }
@@ -130,7 +130,7 @@ RunResult AdaptiveDecoder::decode(std::span<const std::uint8_t> stream,
   serve::SessionConfig session;
   session.max_queued_gops = config_.max_queued_gops;
   serve::detail::EngineHooks hooks;
-  hooks.granularity = serve::detail::Granularity::kAdaptive;
+  hooks.granularity = sched::Granularity::kAdaptive;
   RunResult result = decode_one_session(stream, on_frame, config_, server,
                                         session, std::move(hooks),
                                         "adaptive");
@@ -149,7 +149,7 @@ RunResult AdaptiveDecoder::decode(std::span<const std::uint8_t> stream,
 RunResult SliceParallelDecoder::decode(std::span<const std::uint8_t> stream,
                                        const FrameCallback& on_frame) {
   serve::detail::EngineHooks hooks;
-  hooks.granularity = serve::detail::Granularity::kSlice;
+  hooks.granularity = sched::Granularity::kSlice;
   hooks.max_open_pictures = config_.policy == SlicePolicy::kSimple
                                 ? 1
                                 : std::max(1, config_.max_open_pictures);

@@ -499,6 +499,7 @@ struct Engine {
     bool have = false;
     if (ready) {
       const obs::prof::StageScope scan_stage(obs::prof::Stage::kScan);
+      if (s.cfg.quarantine_gops && s.scanner->failed()) s.scanner->resync();
       have = s.scanner->next_gop(gop);
     }
     s.scan_ns += wall.elapsed_ns();
@@ -559,20 +560,25 @@ struct Engine {
   }
 
   /// Queues the GOP one scan task found, or ends the scan at end of
-  /// stream, at a truncated GOP, or at an open GOP without recovery.
+  /// stream, at damage without recovery, or at an open GOP without
+  /// recovery. Under quarantine, damage costs only the GOP it hit: it is
+  /// logged, the part indexed before it is queued, and the next scan task
+  /// resyncs at the following GOP.
   void queue_scanned_locked(Session& s, bool have, mpeg2::GopInfo&& gop) {
     const mpeg2::StructureScanner& scanner = *s.scanner;
-    if (!have) {
-      s.scan_done = true;
-      s.scan_ok = !scanner.failed() && s.pushed > 0;
-      if (scanner.failed() && s.cfg.quarantine_gops) {
-        s.errors.add({parallel::RecoveryCause::kScanTruncated, s.pushed, -1,
-                      scanner.position()});
+    if (scanner.failed() && s.cfg.quarantine_gops) {
+      // With `have`, the damage is past the end of the GOP scanned.
+      s.errors.add({parallel::RecoveryCause::kScanTruncated,
+                    s.pushed + (have ? 1 : 0), -1, scanner.position()});
+      if (!have) {
         if (scanner.failed_in_gop() && !gop.pictures.empty()) {
           push_gop_locked(s, std::move(gop));
         }
-        s.scan_ok = s.total_pictures > 0;
+        return;
       }
+    } else if (!have) {
+      s.scan_done = true;
+      s.scan_ok = !scanner.failed() && s.pushed > 0;
       return;
     }
     if (!gop.closed) {
@@ -581,7 +587,7 @@ struct Engine {
       if (s.cfg.quarantine_gops) {
         s.errors.add(
             {parallel::RecoveryCause::kOpenGop, s.pushed, -1, gop.offset});
-      } else if (hooks_.granularity != detail::Granularity::kSlice) {
+      } else if (hooks_.granularity != sched::Granularity::kSlice) {
         s.scan_done = true;
         s.scan_ok = false;
         return;
@@ -607,7 +613,7 @@ struct Engine {
     }
     s.total_pictures += pics;
     ++s.pushed;
-    if (hooks_.granularity == detail::Granularity::kSlice) {
+    if (hooks_.granularity == sched::Granularity::kSlice) {
       push_slice_pics_locked(s, e);
     } else {
       s.queue.push_back(id);
@@ -764,7 +770,7 @@ struct Engine {
       out.session = &s;
       return true;
     }
-    if (hooks_.granularity == detail::Granularity::kSlice) {
+    if (hooks_.granularity == sched::Granularity::kSlice) {
       claim_slice_locked(s, out);
       return true;
     }
@@ -791,7 +797,7 @@ struct Engine {
 
   [[nodiscard]] bool has_claimable_locked(Session& s) const {
     if (s.scan_claimable() || !s.queue.empty()) return true;
-    if (hooks_.granularity == detail::Granularity::kSlice) {
+    if (hooks_.granularity == sched::Granularity::kSlice) {
       return row_source(s) || openable(s);
     }
     for (const int g : s.active) {
@@ -1012,12 +1018,12 @@ struct Engine {
   }
 
   /// The dispatch decision, at pop time, with the popped GOP still counted
-  /// in the queue depth (matching simulate_adaptive). The whole-GOP
+  /// in the queue depth (as sched::simulate models it). The whole-GOP
   /// granularity never explodes.
   void dispatch_locked(Session& s, int g, Claim& out) {
     GopEntry& e = s.entries[static_cast<std::size_t>(g)];
     const bool explode =
-        hooks_.granularity == detail::Granularity::kAdaptive &&
+        hooks_.granularity == sched::Granularity::kAdaptive &&
         !e.info.pictures.empty() &&
         sched::should_explode(policy_, config_.workers, queued_total_ + 1,
                               ewma_, e.bytes);

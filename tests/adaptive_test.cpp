@@ -1,5 +1,5 @@
 // Adaptive granularity scheduler tests: the dispatch-policy arithmetic
-// (steal order, cost EWMA, explode decision), the frame-latency objective,
+// (cost EWMA, explode decision), the frame-latency objective,
 // the virtual-time simulator's determinism and work conservation, and the
 // hybrid decoder's core guarantee — dispatch mode is invisible in the
 // output. The checksum matrix asserts adaptive == gop == slice byte-
@@ -12,7 +12,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bitstream/startcode.h"
@@ -26,6 +27,7 @@
 #include "parallel/slice_parallel.h"
 #include "sched/adaptive.h"
 #include "sched/profile.h"
+#include "sched/sim.h"
 #include "streamgen/stream_factory.h"
 
 namespace pmp2 {
@@ -38,42 +40,6 @@ using parallel::GopParallelDecoder;
 using parallel::RunResult;
 using parallel::SliceDecoderConfig;
 using parallel::SliceParallelDecoder;
-
-// ---------------------------------------------------------------------------
-// steal_order: deterministic, index-based victim selection.
-
-TEST(StealOrder, CoversEveryOtherWorkerExactlyOnce) {
-  for (int workers : {2, 3, 4, 8, 14}) {
-    for (int self = 0; self < workers; ++self) {
-      const auto order = sched::steal_order(self, workers);
-      ASSERT_EQ(order.size(), static_cast<std::size_t>(workers - 1));
-      std::set<int> seen(order.begin(), order.end());
-      EXPECT_EQ(seen.size(), order.size()) << "duplicates for self=" << self;
-      EXPECT_EQ(seen.count(self), 0u) << "self-steal for self=" << self;
-      for (const int v : order) {
-        EXPECT_GE(v, 0);
-        EXPECT_LT(v, workers);
-      }
-    }
-  }
-}
-
-TEST(StealOrder, StartsAtNextWorkerAndWraps) {
-  const auto order = sched::steal_order(2, 4);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 3);
-  EXPECT_EQ(order[1], 0);
-  EXPECT_EQ(order[2], 1);
-}
-
-TEST(StealOrder, DeterministicAcrossCalls) {
-  EXPECT_EQ(sched::steal_order(5, 14), sched::steal_order(5, 14));
-}
-
-TEST(StealOrder, SingleWorkerHasNoVictims) {
-  EXPECT_TRUE(sched::steal_order(0, 1).empty());
-  EXPECT_TRUE(sched::steal_order(0, 0).empty());
-}
 
 // ---------------------------------------------------------------------------
 // CostEwma + should_explode: the dispatch decision.
@@ -153,7 +119,8 @@ TEST(AdaptiveLatencyObjective, EmptyAndSingletonAreWellDefined) {
 }
 
 // ---------------------------------------------------------------------------
-// simulate_adaptive: deterministic, work-conserving, accounts every GOP.
+// The simulator at adaptive granularity: deterministic, work-conserving,
+// accounts every GOP.
 
 const sched::StreamProfile& sim_profile() {
   static const sched::StreamProfile p = [] {
@@ -175,13 +142,12 @@ TEST(AdaptiveSim, DeterministicAndWorkConserving) {
   sched::SimConfig cfg;
   cfg.workers = 4;
   cfg.measured_costs = false;
-  const sched::AdaptivePolicy policy;
-  const auto a = sched::simulate_adaptive(p, cfg, policy);
-  const auto b = sched::simulate_adaptive(p, cfg, policy);
+  cfg.granularity = sched::Granularity::kAdaptive;
+  const auto a = sched::simulate(p, cfg);
+  const auto b = sched::simulate(p, cfg);
   EXPECT_EQ(a.makespan_ns, b.makespan_ns);
   EXPECT_EQ(a.gop_mode_gops, b.gop_mode_gops);
   EXPECT_EQ(a.exploded_gops, b.exploded_gops);
-  EXPECT_EQ(a.stolen_tasks, b.stolen_tasks);
   EXPECT_EQ(a.frame_latency_ns, b.frame_latency_ns);
   // Every picture decoded, every GOP dispatched exactly one way.
   EXPECT_EQ(a.pictures, p.total_pictures());
@@ -189,6 +155,129 @@ TEST(AdaptiveSim, DeterministicAndWorkConserving) {
             static_cast<int>(p.gops.size()));
   EXPECT_EQ(a.frame_latency_ns.size(),
             static_cast<std::size_t>(p.total_pictures()));
+}
+
+// Golden results of the whole-GOP and slice granularities, pinned when
+// each still had its own event loop. The calibration and scan rate are
+// pinned too (profile_stream measures both), so every run of every host
+// must reproduce these strings exactly. Per worker: tasks/remote
+// tasks/busy+sync (the queue access is a single rule, but which side of
+// the busy/sync split it lands on is a documented choice, not a result).
+std::string sim_digest(const sched::SimResult& r) {
+  std::string out = "ms=" + std::to_string(r.makespan_ns) +
+                    " pk=" + std::to_string(r.peak_memory) +
+                    " st=" + std::to_string(r.peak_stream_bytes) +
+                    " cs=" + std::to_string(r.concealed_slices) + " |";
+  for (const auto& w : r.workers) {
+    out += " " + std::to_string(w.tasks) + "/" +
+           std::to_string(w.remote_tasks) + "/" +
+           std::to_string(w.busy_ns + w.sync_ns);
+  }
+  return out;
+}
+
+TEST(AdaptiveSim, PinnedGopAndSliceResults) {
+  sched::StreamProfile p = sched::replicate_profile(sim_profile(), 156);
+  ASSERT_TRUE(p.ok);
+  p.ns_per_unit = 100.0;
+  p.scan_ns = static_cast<std::int64_t>(p.stream_bytes);  // 1 byte/ns
+
+  enum class Kind { kGop, kSimple, kImproved };
+  auto run = [&](Kind kind, sched::SimConfig cfg) {
+    if (kind != Kind::kGop) {
+      cfg.granularity = sched::Granularity::kSlice;
+      if (kind == Kind::kSimple) cfg.max_open_pictures = 1;
+    }
+    return sched::simulate(p, cfg);
+  };
+  struct Case {
+    const char* name;
+    Kind kind;
+    sched::SimConfig cfg;
+  };
+  std::vector<Case> cases;
+  for (const auto& [name, kind] :
+       {std::pair{"gop", Kind::kGop}, std::pair{"simple", Kind::kSimple},
+        std::pair{"improved", Kind::kImproved}}) {
+    for (const int workers : {1, 4, 14}) {
+      sched::SimConfig cfg;
+      cfg.workers = workers;
+      cases.push_back({name, kind, cfg});
+    }
+    sched::SimConfig faulted;
+    faulted.workers = 4;
+    faulted.fault_slice_rate = 0.05;
+    cases.push_back({name, kind, faulted});
+  }
+  sched::SimConfig numa;
+  numa.workers = 8;
+  numa.cluster_size = 4;
+  numa.remote_penalty = 1.5;
+  cases.push_back({"gop", Kind::kGop, numa});
+  cases.push_back({"improved", Kind::kImproved, numa});
+  numa.numa_local_queues = true;
+  cases.push_back({"gop", Kind::kGop, numa});
+  sched::SimConfig bounded;
+  bounded.workers = 4;
+  bounded.max_queued_gops = 1;
+  cases.push_back({"gop", Kind::kGop, bounded});
+  sched::SimConfig paced;  // the Fig. 8 memory configuration
+  paced.workers = 4;
+  paced.paced_display = true;
+  paced.cost_scale = 20.0;
+  cases.push_back({"gop", Kind::kGop, paced});
+  cases.push_back({"improved", Kind::kImproved, paced});
+
+  const std::vector<std::string> expected = {
+      "ms=676240712 pk=758132 st=318836 cs=0 | 12/0/676240712",
+      "ms=170140505 pk=2076020 st=318836 cs=0 | 3/0/168120512"
+      " 3/0/170140505 3/0/169058609 3/0/169159321",
+      "ms=57012832 pk=5590388 st=318836 cs=0 | 1/0/55712812"
+      " 1/0/56773705 1/0/56725709 1/0/55792521 1/0/56853414"
+      " 1/0/56805418 1/0/55872230 1/0/56933123 1/0/56885127"
+      " 1/0/55951939 1/0/57012832 1/0/56964836 0/0/0 0/0/0",
+      "ms=162191221 pk=2042228 st=318836 cs=62 | 3/0/158490912"
+      " 3/0/161585905 3/0/160829109 3/0/162191221",
+      "ms=680596712 pk=101376 st=0 cs=0 | 1248/0/680596712",
+      "ms=190777112 pk=101376 st=0 cs=0 | 312/0/190549912"
+      " 312/0/190580412 312/0/190619312 312/0/190777112",
+      "ms=111476712 pk=101376 st=0 cs=0 | 92/0/110554112"
+      " 93/0/111379212 91/0/111325912 90/0/110634412 91/0/110557412"
+      " 78/0/110787512 88/0/111226712 90/0/110538012 92/0/110561812"
+      " 96/0/111324212 91/0/111232812 88/0/111342612 90/0/111320612"
+      " 78/0/111476712",
+      "ms=188389012 pk=101376 st=0 cs=62 | 313/0/187718212"
+      " 314/0/188389012 310/0/187719212 311/0/188143712",
+      "ms=680596712 pk=168960 st=0 cs=0 | 1248/0/680596712",
+      "ms=176743312 pk=168960 st=0 cs=0 | 312/0/176587112"
+      " 312/0/176743312 312/0/176701312 312/0/176516412",
+      "ms=69771112 pk=168960 st=0 cs=0 | 89/0/69568812 92/0/69418012"
+      " 90/0/69471312 90/0/69412712 89/0/69383512 88/0/69416312"
+      " 88/0/69386812 91/0/69616912 88/0/69367412 90/0/69391212"
+      " 87/0/69765612 85/0/69463812 88/0/69434712 93/0/69771112",
+      "ms=171212512 pk=168960 st=0 cs=62 | 306/0/170824612"
+      " 309/0/171212512 322/0/171087412 311/0/170818112",
+      "ms=141886118 pk=4064611 st=318836 cs=0 | 2/0/112358812"
+      " 1/1/85133605 2/1/140255559 1/1/83635471 1/1/85213314"
+      " 2/1/141886118 1/1/83715180 2/0/113579123",
+      "ms=127599512 pk=168960 st=0 cs=0 | 156/78/127446162"
+      " 158/78/127382612 155/78/127394212 155/78/127311712"
+      " 155/78/127499412 155/78/127599512 158/78/127319162"
+      " 156/78/127267062",
+      "ms=141694209 pk=3833204 st=318836 cs=0 | 2/0/112358812"
+      " 2/1/141694209 1/0/56853414 2/0/112593030 1/0/56773705"
+      " 2/0/111479421 1/0/56805418 1/0/56933123",
+      "ms=170140505 pk=1924482 st=133695 cs=0 | 3/0/168120512"
+      " 3/0/170140505 3/0/169058609 3/0/169159321",
+      "ms=5914237192 pk=2742289 st=318836 cs=0 | 3/0/3362353240"
+      " 3/0/3402753100 3/0/3381115180 3/0/3383129420",
+      "ms=5195177522 pk=1757184 st=0 cs=0 | 313/0/3518216240"
+      " 311/0/3523134240 312/0/3522236240 312/0/3519688240",
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::string got = sim_digest(run(cases[i].kind, cases[i].cfg));
+    EXPECT_EQ(got, expected[i]) << cases[i].name << " case " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +545,7 @@ TEST(AdaptiveChecksumMatrix, InjectedFaultsPreserveDispatchEquivalence) {
 // Claim-path stress (TSan target): repeated contended decodes must be
 // deterministic and mode-independent.
 
-TEST(AdaptiveStress, ContendedStealPathsStayDeterministic) {
+TEST(AdaptiveStress, ContendedClaimPathsStayDeterministic) {
   streamgen::StreamSpec spec;
   spec.width = 176;
   spec.height = 120;

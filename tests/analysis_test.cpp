@@ -163,18 +163,15 @@ TEST(Timeline, ChromeTraceRoundTripMatchesLiveSnapshot) {
 
 // The acceptance bar for pmp2_analyze: analyzing a traced run must
 // reproduce the run's own Fig. 7 / Fig. 12 quantities (speedup, sync
-// ratio) within 2%. The slice simulator charges queue overhead to busy
-// time but not to the task span, so it is zeroed for an exact comparison.
+// ratio) within 2%.
 TEST(Analyzer, MatchesSliceSimLoadSummaryAt14Workers) {
   const auto profile = make_profile(8, 6, 28);
   sched::SimConfig cfg;
   cfg.workers = 14;
-  cfg.queue_overhead_ns = 0;
-  cfg.picture_overhead_ns = 0;
+  cfg.granularity = sched::Granularity::kSlice;
   Tracer tracer(cfg.workers);
   cfg.tracer = &tracer;
-  const sched::SimResult r =
-      sched::simulate_slice(profile, cfg, parallel::SlicePolicy::kImproved);
+  const sched::SimResult r = sched::simulate(profile, cfg);
   const parallel::WorkerLoadSummary sim = r.load_summary();
 
   const analysis::Analysis a = analysis::analyze(analysis::from_tracer(tracer));
@@ -200,7 +197,7 @@ TEST(Analyzer, MatchesGopSimLoadSummaryAt14Workers) {
   cfg.workers = 14;
   Tracer tracer(cfg.workers);
   cfg.tracer = &tracer;
-  const sched::SimResult r = sched::simulate_gop(profile, cfg);
+  const sched::SimResult r = sched::simulate(profile, cfg);
   const parallel::WorkerLoadSummary sim = r.load_summary();
 
   const analysis::Analysis a = analysis::analyze(analysis::from_tracer(tracer));
@@ -236,7 +233,7 @@ TEST(Analyzer, OverlappedScanShrinksCriticalInputAt14Workers) {
     sched::SimConfig run = cfg;
     run.upfront_scan = upfront;
     run.tracer = &tracer;
-    *result = sched::simulate_gop(profile, run);
+    *result = sched::simulate(profile, run);
     return analysis::analyze(analysis::from_tracer(tracer));
   };
 

@@ -16,6 +16,7 @@
 #include "inject/fault.h"
 #include "mpeg2/decoder.h"
 #include "mpeg2/frame.h"
+#include "parallel/adaptive/adaptive_decoder.h"
 #include "parallel/display.h"
 #include "parallel/gop_decoder.h"
 #include "parallel/slice_parallel.h"
@@ -415,6 +416,34 @@ TEST(GopQuarantine, TruncatedScanKeepsDecodedPrefix) {
   }
 }
 
+TEST(GopQuarantine, ScanDamageCostsOneGop) {
+  // This plan clobbers a startcode in GOP 0. The scan logs the damage and
+  // resyncs at GOP 1, so GOPs 1 and 2 (26 pictures) decode in every
+  // decoder; without the resync the scan ended at GOP 0 with no picture.
+  const FaultSpec fault = inject::plan_fault(0x5eed, 181);
+  ASSERT_EQ(fault.name(), "clobber-startcode:seed=365731947859761127:count=2");
+  const auto stream =
+      inject::apply_fault(streamgen::generate_stream(spec_3gops()), fault);
+  parallel::AdaptiveDecoderConfig adaptive;
+  adaptive.workers = 3;
+  adaptive.quarantine_gops = true;
+  const RunResult runs[] = {
+      run_gop_quarantine(stream, 39).result,
+      run_slice_quarantine(stream, 39).result,
+      parallel::AdaptiveDecoder(adaptive).decode(stream, {}),
+  };
+  for (const RunResult& r : runs) {
+    ASSERT_TRUE(r.ok);
+    EXPECT_FALSE(r.hung);
+    EXPECT_GE(r.pictures, 26);
+    EXPECT_EQ(r.pictures, runs[0].pictures);
+    EXPECT_EQ(r.checksum, runs[0].checksum);
+    EXPECT_TRUE(std::any_of(r.errors.begin(), r.errors.end(), [](auto& e) {
+      return e.cause == RecoveryCause::kScanTruncated;
+    }));
+  }
+}
+
 // ------------------------------------------------------------- sim model
 
 TEST(SimFaultModel, ConcealmentCostModelIsDeterministic) {
@@ -428,8 +457,8 @@ TEST(SimFaultModel, ConcealmentCostModelIsDeterministic) {
   cfg.fault_slice_rate = 0.3;
   cfg.fault_seed = 11;
 
-  const auto a = sched::simulate_gop(profile, cfg);
-  const auto b = sched::simulate_gop(profile, cfg);
+  const auto a = sched::simulate(profile, cfg);
+  const auto b = sched::simulate(profile, cfg);
   EXPECT_EQ(a.concealed_slices, b.concealed_slices);
   EXPECT_EQ(a.makespan_ns, b.makespan_ns);
   EXPECT_GT(a.concealed_slices, 0);
@@ -439,24 +468,23 @@ TEST(SimFaultModel, ConcealmentCostModelIsDeterministic) {
   // sits strictly between.
   sched::SimConfig clean = cfg;
   clean.fault_slice_rate = 0.0;
-  EXPECT_EQ(sched::simulate_gop(profile, clean).concealed_slices, 0);
+  EXPECT_EQ(sched::simulate(profile, clean).concealed_slices, 0);
   sched::SimConfig all = cfg;
   all.fault_slice_rate = 1.0;
-  const auto full = sched::simulate_gop(profile, all);
+  const auto full = sched::simulate(profile, all);
   EXPECT_GT(full.concealed_slices, a.concealed_slices);
   // Concealment is cheaper than decoding: the fully-degraded run finishes
   // no later than the clean one.
-  EXPECT_LE(full.makespan_ns, sched::simulate_gop(profile, clean).makespan_ns);
+  EXPECT_LE(full.makespan_ns, sched::simulate(profile, clean).makespan_ns);
 
-  // The slice-level policy sees the same fault schedule.
-  const auto sl =
-      sched::simulate_slice(profile, cfg, parallel::SlicePolicy::kImproved);
+  // The slice granularity sees the same fault schedule.
+  sched::SimConfig sliced = cfg;
+  sliced.granularity = sched::Granularity::kSlice;
+  const auto sl = sched::simulate(profile, sliced);
   EXPECT_GT(sl.concealed_slices, 0);
   EXPECT_EQ(sl.pictures, 26);
   EXPECT_EQ(sl.concealed_slices,
-            sched::simulate_slice(profile, cfg,
-                                  parallel::SlicePolicy::kImproved)
-                .concealed_slices);
+            sched::simulate(profile, sliced).concealed_slices);
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ TEST(MemoryModel, AgreesWithSimulatorShape) {
   sched::SimConfig cfg;
   cfg.workers = 4;
   cfg.paced_display = true;
-  const sched::SimResult sim = sched::simulate_gop(profile, cfg);
+  const sched::SimResult sim = sched::simulate(profile, cfg);
 
   MemoryModelParams params;
   params.workers = 4;

@@ -621,14 +621,16 @@ sched::StreamProfile synthetic_profile() {
   return p;
 }
 
-std::string sim_trace_json(parallel::SlicePolicy policy, bool gop_level) {
+std::string sim_trace_json(sched::Granularity granularity,
+                           int max_open_pictures = 3) {
   const auto profile = synthetic_profile();
   sched::SimConfig cfg;
   cfg.workers = 3;
+  cfg.granularity = granularity;
+  cfg.max_open_pictures = max_open_pictures;
   obs::Tracer tracer(cfg.workers);
   cfg.tracer = &tracer;
-  const auto r = gop_level ? sched::simulate_gop(profile, cfg)
-                           : sched::simulate_slice(profile, cfg, policy);
+  const auto r = sched::simulate(profile, cfg);
   EXPECT_GT(r.makespan_ns, 0);
   std::ostringstream os;
   tracer.write_chrome_trace(os);
@@ -637,10 +639,10 @@ std::string sim_trace_json(parallel::SlicePolicy policy, bool gop_level) {
 
 TEST(SimTrace, TwoIdenticalRunsExportByteIdenticalJson) {
   for (const bool gop_level : {false, true}) {
-    const auto a =
-        sim_trace_json(parallel::SlicePolicy::kImproved, gop_level);
-    const auto b =
-        sim_trace_json(parallel::SlicePolicy::kImproved, gop_level);
+    const auto granularity =
+        gop_level ? sched::Granularity::kWholeGop : sched::Granularity::kSlice;
+    const auto a = sim_trace_json(granularity);
+    const auto b = sim_trace_json(granularity);
     EXPECT_EQ(a, b) << (gop_level ? "gop" : "slice");
     EXPECT_TRUE(json_valid(a));
     EXPECT_NE(a.find(gop_level ? "\"cat\":\"gop\"" : "\"cat\":\"slice\""),
@@ -649,8 +651,8 @@ TEST(SimTrace, TwoIdenticalRunsExportByteIdenticalJson) {
 }
 
 TEST(SimTrace, SimplePolicyTraceIsDeterministicToo) {
-  const auto a = sim_trace_json(parallel::SlicePolicy::kSimple, false);
-  const auto b = sim_trace_json(parallel::SlicePolicy::kSimple, false);
+  const auto a = sim_trace_json(sched::Granularity::kSlice, 1);
+  const auto b = sim_trace_json(sched::Granularity::kSlice, 1);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(json_valid(a));
 }
@@ -659,7 +661,7 @@ TEST(SimTrace, LoadSummaryConsistentWithLegacyAccessors) {
   const auto profile = synthetic_profile();
   sched::SimConfig cfg;
   cfg.workers = 3;
-  const auto r = sched::simulate_gop(profile, cfg);
+  const auto r = sched::simulate(profile, cfg);
   const auto load = r.load_summary();
   EXPECT_EQ(load.workers, 3);
   EXPECT_EQ(load.min_busy_ns, r.min_busy_ns());
@@ -675,8 +677,8 @@ TEST(SimReport, TwoIdenticalRunsSerializeByteIdentically) {
     const auto profile = synthetic_profile();
     sched::SimConfig cfg;
     cfg.workers = 3;
-    const auto r = sched::simulate_slice(profile, cfg,
-                                         parallel::SlicePolicy::kImproved);
+    cfg.granularity = sched::Granularity::kSlice;
+    const auto r = sched::simulate(profile, cfg);
     const auto load = r.load_summary();
     obs::RunReport report("sim_test", "determinism check");
     report.set_meta("workers", cfg.workers);

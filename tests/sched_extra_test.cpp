@@ -9,7 +9,16 @@
 namespace pmp2::sched {
 namespace {
 
-using parallel::SlicePolicy;
+/// The paper's slice decoders: the simple policy opens one picture at a
+/// time, the improved one max_open_pictures.
+SimConfig improved_slice(SimConfig cfg) {
+  cfg.granularity = Granularity::kSlice;
+  return cfg;
+}
+SimConfig simple_slice(SimConfig cfg) {
+  cfg.max_open_pictures = 1;
+  return improved_slice(cfg);
+}
 
 const StreamProfile& base_profile() {
   static const StreamProfile p = [] {
@@ -52,8 +61,8 @@ TEST(CostScale, SlowsThroughputProportionally) {
   fast.workers = 4;
   SimConfig slow = fast;
   slow.cost_scale = 10.0;
-  const double pps_fast = simulate_gop(profile, fast).pictures_per_second();
-  const double pps_slow = simulate_gop(profile, slow).pictures_per_second();
+  const double pps_fast = simulate(profile, fast).pictures_per_second();
+  const double pps_slow = simulate(profile, slow).pictures_per_second();
   EXPECT_NEAR(pps_fast / pps_slow, 10.0, 1.5);
 }
 
@@ -66,8 +75,8 @@ TEST(CostScale, DoesNotChangeSpeedupShape) {
     one.cost_scale = scale;
     SimConfig four = one;
     four.workers = 4;
-    return simulate_gop(profile, four).pictures_per_second() /
-           simulate_gop(profile, one).pictures_per_second();
+    return simulate(profile, four).pictures_per_second() /
+           simulate(profile, one).pictures_per_second();
   };
   EXPECT_NEAR(speedup_at(1.0), speedup_at(8.0), 0.2);
 }
@@ -79,9 +88,9 @@ TEST(ScanModel, SlowScanBottlenecksThroughput) {
   cfg.model_scan = true;
   // Scan slower than 8 workers' decode rate: throughput pinned to scan.
   cfg.scan_bytes_per_ns = 1e-6;  // 1 KB/ms: absurdly slow
-  const SimResult starved = simulate_gop(profile, cfg);
+  const SimResult starved = simulate(profile, cfg);
   cfg.scan_bytes_per_ns = 1.0;  // 1 GB/s
-  const SimResult fed = simulate_gop(profile, cfg);
+  const SimResult fed = simulate(profile, cfg);
   EXPECT_LT(starved.pictures_per_second(), fed.pictures_per_second() / 4);
   // Workers starved by the scan accumulate sync (waiting) time.
   std::int64_t sync = 0;
@@ -95,22 +104,49 @@ TEST(ScanModel, DisabledMakesAllTasksImmediate) {
   with.workers = 4;
   SimConfig without = with;
   without.model_scan = false;
-  EXPECT_GE(simulate_slice(profile, without, SlicePolicy::kImproved)
-                .pictures_per_second(),
-            simulate_slice(profile, with, SlicePolicy::kImproved)
-                    .pictures_per_second() *
-                0.999);
+  EXPECT_GE(
+      simulate(profile, improved_slice(without)).pictures_per_second(),
+      simulate(profile, improved_slice(with)).pictures_per_second() * 0.999);
+}
+
+/// The swept dispatch: the paper's two slice policies (their values keep
+/// the instance names), whole GOPs, and the adaptive granularity.
+enum class Dispatch : int {
+  kSimpleSlice,
+  kImprovedSlice,
+  kWholeGop,
+  kAdaptive
+};
+
+SimConfig dispatch_config(Dispatch dispatch) {
+  SimConfig cfg;
+  switch (dispatch) {
+    case Dispatch::kSimpleSlice:
+      return simple_slice(cfg);
+    case Dispatch::kImprovedSlice:
+      return improved_slice(cfg);
+    case Dispatch::kWholeGop:
+      cfg.granularity = Granularity::kWholeGop;
+      break;
+    case Dispatch::kAdaptive:
+      cfg.granularity = Granularity::kAdaptive;
+      break;
+  }
+  return cfg;
 }
 
 class PolicySweep
-    : public ::testing::TestWithParam<std::tuple<int, SlicePolicy>> {};
+    : public ::testing::TestWithParam<std::tuple<int, Dispatch>> {};
 
 TEST_P(PolicySweep, InvariantsHold) {
   const auto profile = replicate_profile(base_profile(), 48);
-  SimConfig cfg;
+  SimConfig cfg = dispatch_config(std::get<1>(GetParam()));
   cfg.workers = std::get<0>(GetParam());
-  const SimResult r = simulate_slice(profile, cfg, std::get<1>(GetParam()));
-  // Work conservation: every slice executed exactly once.
+  const SimResult r = simulate(profile, cfg);
+  // Work conservation: every GOP dispatched once, whole or as its slices
+  // (the profile's GOPs are all the same size), every slice run once.
+  const int gops = static_cast<int>(profile.gops.size());
+  const int slices = profile.total_pictures() * profile.slices_per_picture;
   int tasks = 0;
   std::int64_t busy = 0;
   for (const auto& w : r.workers) {
@@ -118,7 +154,8 @@ TEST_P(PolicySweep, InvariantsHold) {
     busy += w.busy_ns;
     EXPECT_GE(w.sync_ns, 0);
   }
-  EXPECT_EQ(tasks, profile.total_pictures() * profile.slices_per_picture);
+  EXPECT_EQ(r.gop_mode_gops + r.exploded_gops, gops);
+  EXPECT_EQ(tasks, r.gop_mode_gops + r.exploded_gops * (slices / gops));
   EXPECT_GT(busy, 0);
   // Makespan bounds: at least the critical path of one picture, at most
   // the serial sum (plus overheads).
@@ -131,8 +168,10 @@ TEST_P(PolicySweep, InvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     WorkersAndPolicies, PolicySweep,
     ::testing::Combine(::testing::Values(1, 2, 5, 9, 16),
-                       ::testing::Values(SlicePolicy::kSimple,
-                                         SlicePolicy::kImproved)));
+                       ::testing::Values(Dispatch::kSimpleSlice,
+                                         Dispatch::kImprovedSlice,
+                                         Dispatch::kWholeGop,
+                                         Dispatch::kAdaptive)));
 
 TEST(NumaSweep, PenaltyMonotone) {
   const auto profile = replicate_profile(base_profile(), 64);
@@ -143,7 +182,7 @@ TEST(NumaSweep, PenaltyMonotone) {
     cfg.cluster_size = 4;
     cfg.remote_penalty = penalty;
     const double pps =
-        simulate_slice(profile, cfg, SlicePolicy::kImproved)
+        simulate(profile, improved_slice(cfg))
             .pictures_per_second();
     EXPECT_LE(pps, prev * 1.001) << penalty;
     prev = pps;
@@ -166,33 +205,38 @@ TEST(NumaSweep, LocalQueuesBeatSharedQueueOnRemoteCount) {
     for (const auto& w : r.workers) n += w.remote_tasks;
     return n;
   };
-  const int shared_remote = remote_count(simulate_gop(profile, shared_q));
-  const int local_remote = remote_count(simulate_gop(profile, local_q));
+  const int shared_remote = remote_count(simulate(profile, shared_q));
+  const int local_remote = remote_count(simulate(profile, local_q));
   EXPECT_GT(shared_remote, 0);
   EXPECT_LT(local_remote, shared_remote);
 }
 
 TEST(MemoryTimeline, MonotoneTimeAndDrainsToZero) {
   const auto profile = replicate_profile(base_profile(), 64);
-  SimConfig cfg;
-  cfg.workers = 4;
-  cfg.paced_display = true;
-  const SimResult r = simulate_gop(profile, cfg);
-  ASSERT_FALSE(r.memory_timeline.empty());
-  std::int64_t prev_t = -1;
-  for (const auto& s : r.memory_timeline) {
-    EXPECT_GT(s.t_ns, prev_t);
-    prev_t = s.t_ns;
-    EXPECT_GE(s.bytes, 0);
+  for (const auto granularity :
+       {Granularity::kWholeGop, Granularity::kAdaptive, Granularity::kSlice}) {
+    SCOPED_TRACE(static_cast<int>(granularity));
+    SimConfig cfg;
+    cfg.workers = 4;
+    cfg.paced_display = true;
+    cfg.granularity = granularity;
+    const SimResult r = simulate(profile, cfg);
+    ASSERT_FALSE(r.memory_timeline.empty());
+    std::int64_t prev_t = -1;
+    for (const auto& s : r.memory_timeline) {
+      EXPECT_GT(s.t_ns, prev_t);
+      prev_t = s.t_ns;
+      EXPECT_GE(s.bytes, 0);
+    }
+    EXPECT_EQ(r.memory_timeline.back().bytes, 0);
+    EXPECT_EQ(r.peak_memory,
+              std::max_element(r.memory_timeline.begin(),
+                               r.memory_timeline.end(),
+                               [](const MemSample& a, const MemSample& b) {
+                                 return a.bytes < b.bytes;
+                               })
+                  ->bytes);
   }
-  EXPECT_EQ(r.memory_timeline.back().bytes, 0);
-  EXPECT_EQ(r.peak_memory,
-            std::max_element(r.memory_timeline.begin(),
-                             r.memory_timeline.end(),
-                             [](const MemSample& a, const MemSample& b) {
-                               return a.bytes < b.bytes;
-                             })
-                ->bytes);
 }
 
 }  // namespace

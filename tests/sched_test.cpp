@@ -10,7 +10,16 @@
 namespace pmp2::sched {
 namespace {
 
-using parallel::SlicePolicy;
+/// The paper's slice decoders: the simple policy opens one picture at a
+/// time, the improved one max_open_pictures.
+SimConfig improved_slice(SimConfig cfg) {
+  cfg.granularity = Granularity::kSlice;
+  return cfg;
+}
+SimConfig simple_slice(SimConfig cfg) {
+  cfg.max_open_pictures = 1;
+  return improved_slice(cfg);
+}
 
 const StreamProfile& profile_176() {
   static const StreamProfile p = [] {
@@ -85,9 +94,9 @@ TEST(Profile, PictureCostsVaryByType) {
 
 TEST(GopSim, WorkConservation) {
   const auto& p = profile_176();
-  const SimResult r1 = simulate_gop(p, base_config(1));
+  const SimResult r1 = simulate(p, base_config(1));
   for (const int workers : {2, 4, 8}) {
-    const SimResult r = simulate_gop(p, base_config(workers));
+    const SimResult r = simulate(p, base_config(workers));
     std::int64_t total_busy = 0;
     int total_tasks = 0;
     for (const auto& w : r.workers) {
@@ -103,11 +112,11 @@ TEST(GopSim, WorkConservation) {
 
 TEST(GopSim, SpeedupBoundedByWorkersAndTasks) {
   const auto& p = profile_176();
-  const double base = simulate_gop(p, base_config(1)).pictures_per_second();
+  const double base = simulate(p, base_config(1)).pictures_per_second();
   double prev = 0;
   for (const int workers : {1, 2, 3, 4, 8}) {
     const double pps =
-        simulate_gop(p, base_config(workers)).pictures_per_second();
+        simulate(p, base_config(workers)).pictures_per_second();
     const double speedup = pps / base;
     EXPECT_LE(speedup, workers + 1e-9);
     EXPECT_LE(speedup, 3.0 + 1e-9);  // only 3 GOP tasks exist
@@ -126,8 +135,8 @@ TEST(GopSim, ManyGopsScaleNearlyLinearly) {
   const auto stream = streamgen::generate_stream(spec);
   const StreamProfile p = profile_stream(stream);
   ASSERT_TRUE(p.ok);
-  const double base = simulate_gop(p, base_config(1)).pictures_per_second();
-  const double pps4 = simulate_gop(p, base_config(4)).pictures_per_second();
+  const double base = simulate(p, base_config(1)).pictures_per_second();
+  const double pps4 = simulate(p, base_config(4)).pictures_per_second();
   EXPECT_GT(pps4 / base, 3.2);  // near-linear, as the paper's Fig. 5
 }
 
@@ -136,8 +145,8 @@ TEST(GopSim, MemoryGrowsWithWorkers) {
   auto cfg2 = base_config(2);
   auto cfg8 = base_config(8);
   cfg2.paced_display = cfg8.paced_display = true;
-  const SimResult r2 = simulate_gop(p, cfg2);
-  const SimResult r8 = simulate_gop(p, cfg8);
+  const SimResult r2 = simulate(p, cfg2);
+  const SimResult r8 = simulate(p, cfg8);
   EXPECT_GT(r8.peak_memory, r2.peak_memory);
 }
 
@@ -146,10 +155,10 @@ TEST(SliceSim, SimpleKneeAtSlicesPerPicture) {
   // workers must give (almost) identical throughput.
   const auto& p = profile_176();
   const double pps8 =
-      simulate_slice(p, base_config(8), SlicePolicy::kSimple)
+      simulate(p, simple_slice(base_config(8)))
           .pictures_per_second();
   const double pps16 =
-      simulate_slice(p, base_config(16), SlicePolicy::kSimple)
+      simulate(p, simple_slice(base_config(16)))
           .pictures_per_second();
   EXPECT_NEAR(pps16 / pps8, 1.0, 0.01);
 }
@@ -158,19 +167,19 @@ TEST(SliceSim, ImprovedBeatsSimple) {
   const auto& p = profile_176();
   for (const int workers : {4, 8, 12}) {
     const double simple =
-        simulate_slice(p, base_config(workers), SlicePolicy::kSimple)
+        simulate(p, simple_slice(base_config(workers)))
             .pictures_per_second();
     const double improved =
-        simulate_slice(p, base_config(workers), SlicePolicy::kImproved)
+        simulate(p, improved_slice(base_config(workers)))
             .pictures_per_second();
     EXPECT_GE(improved, simple * 0.999) << workers;
   }
   // Past the knee the improved policy must be strictly better.
   const double simple12 =
-      simulate_slice(p, base_config(12), SlicePolicy::kSimple)
+      simulate(p, simple_slice(base_config(12)))
           .pictures_per_second();
   const double improved12 =
-      simulate_slice(p, base_config(12), SlicePolicy::kImproved)
+      simulate(p, improved_slice(base_config(12)))
           .pictures_per_second();
   EXPECT_GT(improved12, simple12 * 1.05);
 }
@@ -178,9 +187,9 @@ TEST(SliceSim, ImprovedBeatsSimple) {
 TEST(SliceSim, SyncRatioDropsWithImprovedPolicy) {
   const auto& p = profile_176();
   const SimResult simple =
-      simulate_slice(p, base_config(12), SlicePolicy::kSimple);
+      simulate(p, simple_slice(base_config(12)));
   const SimResult improved =
-      simulate_slice(p, base_config(12), SlicePolicy::kImproved);
+      simulate(p, improved_slice(base_config(12)));
   EXPECT_GT(simple.sync_ratio(), improved.sync_ratio());
 }
 
@@ -195,19 +204,20 @@ TEST(SliceSim, GopVersionFasterThanSlice) {
   const auto stream = streamgen::generate_stream(spec);
   const StreamProfile p = profile_stream(stream);
   const auto cfg = base_config(8);
-  const double gop = simulate_gop(p, cfg).pictures_per_second();
+  const double gop = simulate(p, cfg).pictures_per_second();
   const double improved =
-      simulate_slice(p, cfg, SlicePolicy::kImproved).pictures_per_second();
+      simulate(p, improved_slice(cfg)).pictures_per_second();
   const double simple =
-      simulate_slice(p, cfg, SlicePolicy::kSimple).pictures_per_second();
+      simulate(p, simple_slice(cfg)).pictures_per_second();
   EXPECT_GE(gop, improved * 0.98);
   EXPECT_GE(improved, simple * 0.98);
 }
 
 TEST(SliceSim, WorkConservation) {
   const auto& p = profile_176();
-  for (const auto policy : {SlicePolicy::kSimple, SlicePolicy::kImproved}) {
-    const SimResult r = simulate_slice(p, base_config(4), policy);
+  for (const auto& cfg :
+       {simple_slice(base_config(4)), improved_slice(base_config(4))}) {
+    const SimResult r = simulate(p, cfg);
     int tasks = 0;
     for (const auto& w : r.workers) tasks += w.tasks;
     EXPECT_EQ(tasks, 39 * 8);
@@ -220,7 +230,7 @@ TEST(SliceSim, OneWorkerMatchesSequentialCost) {
   cfg.queue_overhead_ns = 0;
   cfg.picture_overhead_ns = 0;
   cfg.model_scan = false;
-  const SimResult r = simulate_slice(p, cfg, SlicePolicy::kSimple);
+  const SimResult r = simulate(p, simple_slice(cfg));
   std::int64_t total = 0;
   for (const auto& g : p.gops) {
     for (const auto& pic : g.pictures) {
@@ -239,9 +249,9 @@ TEST(NumaSim, RemotePenaltyReducesSpeedup) {
   numa.cluster_size = 4;
   numa.remote_penalty = 1.5;
   const double pps_uma =
-      simulate_slice(p, uma, SlicePolicy::kImproved).pictures_per_second();
+      simulate(p, improved_slice(uma)).pictures_per_second();
   const double pps_numa =
-      simulate_slice(p, numa, SlicePolicy::kImproved).pictures_per_second();
+      simulate(p, improved_slice(numa)).pictures_per_second();
   EXPECT_LT(pps_numa, pps_uma);
 }
 
@@ -264,8 +274,8 @@ TEST(NumaSim, LocalQueuesReduceRemoteTasks) {
     for (const auto& w : r.workers) n += w.remote_tasks;
     return n;
   };
-  const SimResult shared = simulate_gop(p, shared_q);
-  const SimResult local = simulate_gop(p, local_q);
+  const SimResult shared = simulate(p, shared_q);
+  const SimResult local = simulate(p, local_q);
   EXPECT_LT(remote_count(local), remote_count(shared));
   EXPECT_GE(local.pictures_per_second(), shared.pictures_per_second());
 }
@@ -275,8 +285,8 @@ TEST(Sim, PacedDisplayStretchesMakespan) {
   auto fast = base_config(8);
   auto paced = base_config(8);
   paced.paced_display = true;
-  const SimResult rf = simulate_gop(p, fast);
-  const SimResult rp = simulate_gop(p, paced);
+  const SimResult rf = simulate(p, fast);
+  const SimResult rp = simulate(p, paced);
   EXPECT_GE(rp.makespan_ns, rf.makespan_ns);
   // 39 pictures at 30/s >= 1.26 s.
   EXPECT_GE(rp.makespan_ns, static_cast<std::int64_t>(38.0 / 30.0 * 1e9));
@@ -284,8 +294,8 @@ TEST(Sim, PacedDisplayStretchesMakespan) {
 
 TEST(Sim, DeterministicAcrossRuns) {
   const auto& p = profile_176();
-  const SimResult a = simulate_slice(p, base_config(5), SlicePolicy::kImproved);
-  const SimResult b = simulate_slice(p, base_config(5), SlicePolicy::kImproved);
+  const SimResult a = simulate(p, improved_slice(base_config(5)));
+  const SimResult b = simulate(p, improved_slice(base_config(5)));
   EXPECT_EQ(a.makespan_ns, b.makespan_ns);
   EXPECT_EQ(a.peak_memory, b.peak_memory);
   for (std::size_t i = 0; i < a.workers.size(); ++i) {
