@@ -12,15 +12,18 @@
 //   throughput mode — the pipeline is deep: run the GOP whole, exactly the
 //     GOP decoder's task (decode_gop), zero inter-worker communication;
 //   latency mode — the queue is shallow or the GOP is a predicted
-//     straggler: explode the GOP into per-picture tasks that any worker
-//     may claim, so all workers cooperate on the frames closest to
-//     display. Pictures keep GOP-private references (closed GOPs), so
-//     exploded GOPs of different indices decode concurrently and every
-//     picture decodes byte-identically to the GOP decoder's sequential
-//     loop (both run decode_one_picture).
+//     straggler: explode the GOP into a picture chain, the slice
+//     decoder's machinery with one task per picture, so all workers
+//     cooperate on the frames closest to display. A picture opens once
+//     its GOP-private references (closed GOPs) are complete, so exploded
+//     GOPs of different indices decode concurrently, and every picture
+//     decodes byte-identically to the GOP decoder's sequential loop (both
+//     run decode_one_picture's open, decode and close steps).
 //
-// An idle worker claims ready exploded pictures before popping the next
-// GOP. Recovery semantics are the GOP decoder's: quarantine confines a
+// An idle worker opens the next openable picture of the lowest exploded
+// GOP before popping the next GOP. A B frame goes back to the pool once
+// displayed, a reference frame once no unopened picture of its GOP can
+// use it. Recovery semantics are the GOP decoder's: quarantine confines a
 // fault to its own GOP in both modes, and playback checksums equal the
 // fixed GOP decoder's on clean and damaged streams alike.
 #pragma once

@@ -22,9 +22,12 @@
 namespace pmp2::sched {
 
 /// What a GOP popped from the queue becomes. kWholeGop never explodes (the
-/// paper's §5.1 GOP decoder); kAdaptive asks should_explode; kSlice opens
-/// every scanned GOP's pictures in decode order along one session-wide
-/// chain and decodes them as finer tasks (the paper's §5.2 slice decoder).
+/// paper's §5.1 GOP decoder); kAdaptive asks should_explode, and an
+/// exploded GOP becomes a picture chain of its own, one task per picture;
+/// kSlice opens every scanned GOP's pictures in decode order along one
+/// session-wide chain and decodes each as macroblock-row tasks (the
+/// paper's §5.2 slice decoder). sched::simulate models both kinds of
+/// chain the same way.
 enum class Granularity : std::uint8_t { kAdaptive, kWholeGop, kSlice };
 
 /// Dispatch policy knobs for the adaptive granularity.

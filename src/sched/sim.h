@@ -127,7 +127,7 @@ struct SimResult {
   /// claim owns its GOP's frames until the GOP ends (the paper's Fig. 8
   /// rule): each lives from its decode to max(display, GOP decode end). An
   /// exploded picture lives from its open to max(display, last use as a
-  /// reference).
+  /// reference), the lifetime the engine's picture chains keep too.
   std::vector<MemSample> memory_timeline;
   std::int64_t peak_memory = 0;
   /// Scan-ahead buffer alone (the scan(t) term of Fig. 9): a whole-claimed

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <condition_variable>
 #include <deque>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -31,9 +33,10 @@ namespace {
 constexpr std::int64_t kMinWaitSpanNs = 1'000;
 
 /// One GOP as a session's scheduler tracks it. Scan-time fields are
-/// immutable after push; the exploded block is built under the server
-/// mutex when the dispatch decision explodes the GOP. `enqueue_ns` is what
-/// the queue-inclusive latency histogram is measured from.
+/// immutable after push; the rest is guarded by the server mutex and
+/// counts the GOP's picture tasks once its pictures are on a chain.
+/// `enqueue_ns` is what the queue-inclusive latency histogram is measured
+/// from.
 struct GopEntry {
   mpeg2::GopInfo info;
   int index = 0;
@@ -41,31 +44,24 @@ struct GopEntry {
   std::uint64_t bytes = 0;
   std::int64_t enqueue_ns = 0;
 
-  // --- Exploded state (latency mode) ---
-  bool exploded = false;
-  std::vector<int> ranks;   // display_ranks (quarantine only)
-  std::vector<int> newest;  // per picture: newest non-B before it (-1 none)
-  std::vector<int> older;   // per picture: the non-B before that (-1 none)
-  std::vector<std::uint8_t> state;  // 0 unclaimed, 1 running, 2 complete
-  std::vector<mpeg2::FramePtr> frames;  // completed pictures (ref retention)
-  int completed = 0;
+  std::vector<int> ranks;  // display_ranks (quarantine only)
+  int completed = 0;       // pictures complete
   bool damaged = false;
   std::int64_t cost_ns = 0;  // accumulated task CPU time (EWMA feedback)
 };
 
-/// One picture under the slice granularity, in session decode order.
-/// Scheduling fields are guarded by the server mutex. `work` is written by
-/// the opening worker before the picture's rows become claimable, then by
-/// row tasks on disjoint rows, then by the worker that closes it.
-struct SlicePic {
+/// One picture on a chain. Scheduling fields are guarded by the server
+/// mutex. `work` is written by the opening worker before the picture's
+/// rows become claimable, then by row tasks on disjoint rows, then by the
+/// worker that closes it.
+struct ChainPic {
   enum class State : std::uint8_t { kWaiting, kOpening, kOpen, kComplete };
   GopEntry* gop = nullptr;
   int pic = 0;      // index within the GOP
-  int index = 0;    // session decode-order index
-  int newest = -1;  // its references, as session indices (-1 none): the
-  int older = -1;   // same chain explode_entry builds within one GOP
+  int index = 0;    // index within the chain
+  int newest = -1;  // its references, as chain indices (-1 none): the
+  int older = -1;   // newest non-B before it and the non-B before that
   State state = State::kWaiting;
-  int rows = 1;  // row tasks: one per macroblock row, one for MPEG-1
   int next_row = 0;
   int rows_done = 0;
   int concealed = 0;
@@ -74,25 +70,54 @@ struct SlicePic {
   mpeg2::FramePtr frame;     // a completed reference picture, until retired
 };
 
+/// Pictures opened in decode order, each once its references are
+/// complete: the slice granularity's session-wide chain, or one GOP the
+/// adaptive dispatcher exploded. Each picture is `rows` tasks; the opener
+/// runs the first. A B frame is never retained, and a reference frame only
+/// while a picture still to open may use it.
+struct Chain {
+  int rows = 1;            // tasks per picture
+  int max_open = INT_MAX;  // pictures opening or open at once
+  std::deque<ChainPic> pics;  // retired from the front (stable addresses)
+  int base = 0;       // chain index of pics.front()
+  int next_open = 0;  // chain index of the next picture to open
+  int open = 0;       // pictures opening or open
+  int newest = -1;    // the references the next appended picture takes
+  int older = -1;
+
+  [[nodiscard]] int end() const {
+    return base + static_cast<int>(pics.size());
+  }
+  [[nodiscard]] ChainPic& at(int index) {
+    return pics[static_cast<std::size_t>(index - base)];
+  }
+  [[nodiscard]] bool pending() const { return next_open < end() || open > 0; }
+  [[nodiscard]] bool complete(int index) const {
+    return index < base || pics[static_cast<std::size_t>(index - base)]
+                                   .state == ChainPic::State::kComplete;
+  }
+  [[nodiscard]] mpeg2::FramePtr frame(int index) const {
+    return index < base ? nullptr
+                        : pics[static_cast<std::size_t>(index - base)].frame;
+  }
+};
+
 struct Session;
 
-/// What one cross-session claim hands a worker: decode a whole GOP, decode
-/// one exploded picture, scan the session's next GOP, or (slice
-/// granularity) open a picture and decode its first row, or decode one
-/// more row of an open picture. `gop` and `slice` are resolved
-/// while the server mutex is held: entries live in a std::deque whose
-/// *element* addresses are stable, but re-indexing the deque unlocked
-/// would race a scan task's concurrent push_back on the deque's internal
-/// block map — workers must go through these pointers, never
-/// s.entries[entry] or s.pics[...].
+/// What one cross-session claim hands a worker: decode a whole GOP, scan
+/// the session's next GOP, open a chain's picture and decode its first
+/// row, or decode one more row of an open picture. `gop`, `chain` and
+/// `pic` are resolved while the server mutex is held: entries and pictures
+/// live in std::deques whose *element* addresses are stable, but
+/// re-indexing a deque unlocked would race a scan task's concurrent
+/// push_back on its internal block map — workers must go through these
+/// pointers, never s.entries[...] or a chain's pics[...].
 struct Claim {
-  enum class Kind { kWholeGop, kPicture, kScan, kOpen, kRow } kind =
-      Kind::kWholeGop;
+  enum class Kind { kWholeGop, kScan, kOpen, kRow } kind = Kind::kWholeGop;
   Session* session = nullptr;
   GopEntry* gop = nullptr;
-  SlicePic* slice = nullptr;
-  int entry = -1;
-  int pic = -1;
+  Chain* chain = nullptr;
+  ChainPic* pic = nullptr;
   int row = -1;
   int ranked_display = -1;
   std::int64_t charged_ns = 0;  // predicted cost debited at claim time
@@ -128,15 +153,9 @@ struct Session {
   // Scheduler state, guarded by the server mutex.
   std::deque<GopEntry> entries;  // stable addresses
   std::deque<int> queue;         // queued whole-GOP entry ids
-  std::vector<int> active;       // exploded, incomplete entry ids (sorted)
-  // Slice granularity: scanned pictures in decode order, retired from the
-  // front once complete and no longer referenced (stable addresses).
-  std::deque<SlicePic> pics;
-  int pics_base = 0;   // session index of pics.front()
-  int next_open = 0;   // session index of the next picture to open
-  int open_pics = 0;   // pictures opening or open
-  int chain_newest = -1;  // the reference chain after the last scanned
-  int chain_older = -1;   // picture (session indices)
+  // Picture chains, oldest first, dropped once empty (stable addresses):
+  // the slice granularity's one, or one per exploded GOP.
+  std::list<Chain> chains;
   int pushed = 0;
   int completed_gops = 0;
   int queued_gops = 0;  // entries sitting in `queue`
@@ -177,12 +196,10 @@ struct Session {
   [[nodiscard]] bool stopped() const {
     return cancel_requested || aborted || hung;
   }
-  [[nodiscard]] int pics_end() const {
-    return pics_base + static_cast<int>(pics.size());
-  }
-  /// Slice granularity: pictures not yet complete.
+  /// Chained pictures not yet complete.
   [[nodiscard]] bool pics_pending() const {
-    return next_open < pics_end() || open_pics > 0;
+    return std::any_of(chains.begin(), chains.end(),
+                       [](const Chain& c) { return c.pending(); });
   }
   /// The scan's backpressure is its claimability: one scan claim at a
   /// time, and only while the queue of unstarted GOPs is below its bound.
@@ -194,14 +211,13 @@ struct Session {
   /// Work the pool could still be handed (or is holding) for this session.
   [[nodiscard]] bool pending_work() const {
     return state == SessionState::kRunning &&
-           (!queue.empty() || !active.empty() || in_flight > 0 ||
-            pics_pending() || scan_claimable());
+           (!queue.empty() || in_flight > 0 || pics_pending() ||
+            scan_claimable());
   }
   [[nodiscard]] bool runnable() const {
     if (state != SessionState::kRunning || stopped()) return false;
-    // Exploded pictures and rows are refined by has_claimable_locked.
-    return scan_claimable() || !queue.empty() || !active.empty() ||
-           pics_pending();
+    // Chained pictures are refined by has_claimable_locked.
+    return scan_claimable() || !queue.empty() || pics_pending();
   }
 };
 
@@ -442,41 +458,26 @@ struct Engine {
   }
 
   /// Drops every unstarted task of `s` so the pool stops serving it:
-  /// queued whole GOPs leave the queue, unclaimed pictures of exploded
-  /// GOPs are marked complete without a frame, unopened pictures are
-  /// never opened and unclaimed rows never claimed. In-flight tasks finish
-  /// on their own; their frames are released at entry completion as usual.
+  /// queued whole GOPs leave the queue, unopened pictures are never opened
+  /// and unclaimed rows never claimed. In-flight tasks finish on their own;
+  /// the chains' reference frames go back to the pool at finalize.
   void purge_session_queue_locked(Session& s) {
     queued_total_ -= static_cast<int>(s.queue.size());
     if (s.live) s.live->add_queue_depth(-s.queued_gops);
     s.queue.clear();
     s.queued_gops = 0;
-    for (auto it = s.active.begin(); it != s.active.end();) {
-      GopEntry& e = s.entries[static_cast<std::size_t>(*it)];
-      for (std::size_t i = 0; i < e.state.size(); ++i) {
-        if (e.state[i] == 0) {
-          e.state[i] = 2;
-          ++e.completed;
-        }
+    for (Chain& c : s.chains) {
+      c.next_open = c.end();
+      for (ChainPic& p : c.pics) {
+        // A picture whose claimed rows all finished has nobody left to
+        // complete it; one with rows in flight (or closing) completes on
+        // the last.
+        const int unclaimed = c.rows - p.next_row;
+        if (p.state != ChainPic::State::kOpen || unclaimed == 0) continue;
+        p.next_row = c.rows;
+        p.rows_done += unclaimed;
+        if (p.rows_done == c.rows) complete_pic_locked(s, c, p, nullptr);
       }
-      if (e.completed == static_cast<int>(e.info.pictures.size())) {
-        e.frames.clear();
-        ++s.completed_gops;
-        it = s.active.erase(it);
-      } else {
-        ++it;  // in-flight pictures remain; finish_picture completes it
-      }
-    }
-    s.next_open = s.pics_end();
-    for (SlicePic& p : s.pics) {
-      // A picture whose claimed rows all finished has nobody left to
-      // complete it; one with rows in flight (or closing) completes on the
-      // last.
-      const int unclaimed = p.rows - p.next_row;
-      if (p.state != SlicePic::State::kOpen || unclaimed == 0) continue;
-      p.next_row = p.rows;
-      p.rows_done += unclaimed;
-      if (p.rows_done == p.rows) complete_slice_pic_locked(s, p, nullptr);
     }
     ++epoch_;
     cv_.notify_all();
@@ -613,47 +614,53 @@ struct Engine {
     }
     s.total_pictures += pics;
     ++s.pushed;
-    if (hooks_.granularity == sched::Granularity::kSlice) {
-      push_slice_pics_locked(s, e);
-    } else {
+    if (hooks_.granularity != sched::Granularity::kSlice) {
       s.queue.push_back(id);
       ++s.queued_gops;
       ++queued_total_;
       s.live->add_queue_depth(1);
+    } else if (e.info.pictures.empty()) {
+      ++s.completed_gops;  // nothing to open
+    } else {
+      // The GOP counts as queued (scan backpressure) until its first
+      // picture opens. Its pictures join the session's one chain, whose
+      // pictures are macroblock-row tasks (one per picture for MPEG-1,
+      // whose slices may span rows).
+      ++s.queued_gops;
+      s.live->add_queue_depth(1);
+      if (s.chains.empty()) {
+        Chain& c = s.chains.emplace_back();
+        c.rows = s.structure.mpeg1 ? 1 : s.structure.mb_height();
+        c.max_open = hooks_.max_open_pictures;
+      }
+      append_gop(s, s.chains.back(), e);
     }
     obs::live::TelemetryCell::Write lw(s.live->scan());
     lw.add_tasks().set_last_progress_ns(s.live->now_ns());
   }
 
-  /// Slice granularity: appends the GOP's pictures in decode order with
-  /// their reference chain. A closed GOP starts a fresh chain, as on the
-  /// GOP path; so does every GOP under quarantine, whose blast radius is
-  /// one GOP on every path. Without quarantine an open GOP's leading
-  /// pictures take the previous GOP's references. The GOP counts as
-  /// queued (scan backpressure) until its first picture opens.
-  void push_slice_pics_locked(Session& s, GopEntry& e) {
-    if (e.info.pictures.empty()) {
-      ++s.completed_gops;  // nothing to open
-      return;
-    }
-    ++s.queued_gops;
-    s.live->add_queue_depth(1);
-    if (e.info.closed || s.cfg.quarantine_gops) {
-      s.chain_newest = s.chain_older = -1;
-    }
+  /// Appends the GOP's pictures to `c` in decode order with their
+  /// references. The static non-B chain (scan picture types) mirrors
+  /// decode_gop's rolling fwd/bwd state machine, so resolved references
+  /// match the whole-GOP path picture for picture, including quarantined
+  /// reference pictures, whose synthesized frames feed later predictions.
+  /// A closed GOP starts fresh references, as on the whole-GOP path; so
+  /// does every GOP under quarantine, whose blast radius is one GOP on
+  /// every path. Without quarantine an open GOP's leading pictures take
+  /// the previous GOP's references (slice granularity only).
+  static void append_gop(const Session& s, Chain& c, GopEntry& e) {
+    if (e.info.closed || s.cfg.quarantine_gops) c.newest = c.older = -1;
     if (s.cfg.quarantine_gops) e.ranks = mpeg2::display_ranks(e.info);
-    const int rows = s.structure.mpeg1 ? 1 : s.structure.mb_height();
     for (std::size_t i = 0; i < e.info.pictures.size(); ++i) {
-      SlicePic& p = s.pics.emplace_back();
+      ChainPic& p = c.pics.emplace_back();
       p.gop = &e;
       p.pic = static_cast<int>(i);
-      p.index = s.pics_end() - 1;
-      p.newest = s.chain_newest;
-      p.older = s.chain_older;
-      p.rows = rows;
+      p.index = c.end() - 1;
+      p.newest = c.newest;
+      p.older = c.older;
       if (e.info.pictures[i].type != mpeg2::PictureType::kB) {
-        s.chain_older = s.chain_newest;
-        s.chain_newest = p.index;
+        c.older = c.newest;
+        c.newest = p.index;
       }
     }
   }
@@ -744,11 +751,11 @@ struct Engine {
 
   /// Fair pick, then intra-session dispatch: the session's scan first
   /// (keeping its queue as deep as its bound, the depth should_explode
-  /// reads), then ready exploded pictures before queued whole GOPs (frames
-  /// closest to display first), and the whole-vs-exploded decision at pop
-  /// time from the *global* queue depth plus the shared cross-session
-  /// CostEwma — the adaptive dispatcher with its signal widened to the
-  /// whole server.
+  /// reads), then its chains' picture tasks before queued whole GOPs
+  /// (frames closest to display first), and the whole-vs-exploded decision
+  /// at pop time from the *global* queue depth plus the shared
+  /// cross-session CostEwma — the adaptive dispatcher with its signal
+  /// widened to the whole server.
   bool try_claim_locked(Claim& out) {
     shares_.clear();
     for (const auto& s : sessions_) {
@@ -770,21 +777,9 @@ struct Engine {
       out.session = &s;
       return true;
     }
-    if (hooks_.granularity == sched::Granularity::kSlice) {
-      claim_slice_locked(s, out);
+    if (find_pic_task(s, out)) {
+      claim_pic_locked(s, out);
       return true;
-    }
-    // Ready exploded picture next, lowest entry id (closest to display).
-    for (const int g : s.active) {
-      GopEntry& e = s.entries[static_cast<std::size_t>(g)];
-      for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
-        if (pic_ready(e, i)) {
-          fill_picture_claim(s, e, g, i, out);
-          charge_claim_locked(s, out, e.bytes /
-                                          e.info.pictures.size());
-          return true;
-        }
-      }
     }
     const int g = s.queue.front();
     s.queue.pop_front();
@@ -795,51 +790,9 @@ struct Engine {
     return true;
   }
 
-  [[nodiscard]] bool has_claimable_locked(Session& s) const {
-    if (s.scan_claimable() || !s.queue.empty()) return true;
-    if (hooks_.granularity == sched::Granularity::kSlice) {
-      return row_source(s) || openable(s);
-    }
-    for (const int g : s.active) {
-      const GopEntry& e = s.entries[static_cast<std::size_t>(g)];
-      for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
-        if (pic_ready(e, i)) return true;
-      }
-    }
-    return false;
-  }
-
-  /// A picture is claimable once its GOP-private references are complete:
-  /// every picture waits for the newest non-B before it (prediction source
-  /// for P, future reference for B, concealment source under quarantine);
-  /// B pictures additionally wait for the older one.
-  static bool pic_ready(const GopEntry& e, int i) {
-    if (e.state[static_cast<std::size_t>(i)] != 0) return false;
-    const int nw = e.newest[static_cast<std::size_t>(i)];
-    if (nw >= 0 && e.state[static_cast<std::size_t>(nw)] != 2) return false;
-    if (e.info.pictures[static_cast<std::size_t>(i)].type ==
-        mpeg2::PictureType::kB) {
-      const int ol = e.older[static_cast<std::size_t>(i)];
-      if (ol >= 0 && e.state[static_cast<std::size_t>(ol)] != 2) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void fill_picture_claim(Session& s, GopEntry& e, int g, int i,
-                          Claim& out) {
-    e.state[static_cast<std::size_t>(i)] = 1;
-    out.kind = Claim::Kind::kPicture;
-    out.session = &s;
-    out.gop = &e;
-    out.entry = g;
-    out.pic = i;
-    const int nw = e.newest[static_cast<std::size_t>(i)];
-    const int ol = e.older[static_cast<std::size_t>(i)];
-    out.bwd = nw >= 0 ? e.frames[static_cast<std::size_t>(nw)] : nullptr;
-    out.fwd = ol >= 0 ? e.frames[static_cast<std::size_t>(ol)] : nullptr;
-    out.ranked_display = ranked_display(s, e, i);
+  [[nodiscard]] static bool has_claimable_locked(Session& s) {
+    Claim probe;
+    return s.scan_claimable() || !s.queue.empty() || find_pic_task(s, probe);
   }
 
   /// Picture i's display slot under quarantine (display_ranks), else -1.
@@ -849,75 +802,81 @@ struct Engine {
                : -1;
   }
 
-  // --- Slice granularity: picture opens and macroblock-row tasks. --------
+  // --- Chains: picture opens and macroblock-row tasks. --------------------
+
+  /// The session's next picture task, lowest chain first: a row of the
+  /// chain's lowest open picture with one unclaimed, else the chain's
+  /// openable picture. Only the slice granularity's one chain has rows to
+  /// share, so this is also "rows of open pictures first".
+  static bool find_pic_task(Session& s, Claim& out) {
+    for (Chain& c : s.chains) {
+      ChainPic* p = row_source(c);
+      const Claim::Kind kind = p ? Claim::Kind::kRow : Claim::Kind::kOpen;
+      if (!p) p = openable(c);
+      if (p) {
+        out.kind = kind;
+        out.chain = &c;
+        out.pic = p;
+        return true;
+      }
+    }
+    return false;
+  }
 
   /// The lowest open picture with an unclaimed row.
-  static SlicePic* row_source(Session& s) {
-    for (SlicePic& p : s.pics) {
-      if (p.index >= s.next_open) break;
-      if (p.state == SlicePic::State::kOpen && p.next_row < p.rows) return &p;
+  static ChainPic* row_source(Chain& c) {
+    for (ChainPic& p : c.pics) {
+      if (p.index >= c.next_open) break;
+      if (p.state == ChainPic::State::kOpen && p.next_row < c.rows) return &p;
     }
     return nullptr;
   }
 
-  static bool slice_complete(const Session& s, int index) {
-    return index < s.pics_base ||
-           s.pics[static_cast<std::size_t>(index - s.pics_base)].state ==
-               SlicePic::State::kComplete;
-  }
-
   /// The next picture in decode order, once it may open: fewer than
-  /// max_open_pictures are open and its references are complete (the
-  /// newest non-B before it always, as pic_ready requires; for a B picture
-  /// the older one too). SlicePolicy::kSimple is max_open_pictures == 1.
-  SlicePic* openable(Session& s) const {
-    if (s.next_open >= s.pics_end() ||
-        s.open_pics >= hooks_.max_open_pictures) {
-      return nullptr;
-    }
-    SlicePic& p = s.pics[static_cast<std::size_t>(s.next_open - s.pics_base)];
-    if (!slice_complete(s, p.newest)) return nullptr;
+  /// max_open are open and its references are complete (the newest non-B
+  /// before it always, as prediction source or concealment source; for a
+  /// B picture the older one too). Opening in order loses nothing: a later
+  /// picture's references are complete only once every earlier one could
+  /// open. SlicePolicy::kSimple is max_open == 1.
+  static ChainPic* openable(Chain& c) {
+    if (c.next_open >= c.end() || c.open >= c.max_open) return nullptr;
+    ChainPic& p = c.at(c.next_open);
+    if (!c.complete(p.newest)) return nullptr;
     if (p.gop->info.pictures[static_cast<std::size_t>(p.pic)].type ==
             mpeg2::PictureType::kB &&
-        !slice_complete(s, p.older)) {
+        !c.complete(p.older)) {
       return nullptr;
     }
     return &p;
   }
 
-  static mpeg2::FramePtr slice_frame(const Session& s, int index) {
-    return index < s.pics_base
-               ? nullptr
-               : s.pics[static_cast<std::size_t>(index - s.pics_base)].frame;
-  }
-
-  /// Rows of open pictures first (frames closest to display), else the
-  /// next picture's open. has_claimable_locked found one of the two.
-  void claim_slice_locked(Session& s, Claim& out) {
-    SlicePic* p = row_source(s);
-    out.kind = Claim::Kind::kRow;
-    if (!p) {
-      p = openable(s);
-      out.kind = Claim::Kind::kOpen;
-      p->state = SlicePic::State::kOpening;
-      ++s.next_open;
-      ++s.open_pics;
-      if (p->pic == 0) {
+  /// Hands out the task find_pic_task found. An open takes the picture's
+  /// references into the claim; the opener decodes row 0 itself.
+  void claim_pic_locked(Session& s, Claim& out) {
+    Chain& c = *out.chain;
+    ChainPic& p = *out.pic;
+    GopEntry& e = *p.gop;
+    if (out.kind == Claim::Kind::kOpen) {
+      p.state = ChainPic::State::kOpening;
+      ++c.next_open;
+      ++c.open;
+      if (p.pic == 0 && hooks_.granularity == sched::Granularity::kSlice) {
         // The GOP leaves the scan's backpressure window.
         --s.queued_gops;
         s.live->add_queue_depth(-1);
+        ++epoch_;
+        cv_.notify_all();  // the session's scan may be claimable again
       }
-      out.bwd = slice_frame(s, p->newest);
-      out.fwd = slice_frame(s, p->older);
-      out.ranked_display = ranked_display(s, *p->gop, p->pic);
-      ++epoch_;
-      cv_.notify_all();  // the session's scan may be claimable again
+      out.bwd = c.frame(p.newest);
+      out.fwd = c.frame(p.older);
+      out.ranked_display = ranked_display(s, e, p.pic);
     }
     out.session = &s;
-    out.gop = p->gop;
-    out.slice = p;
-    out.row = p->next_row++;
-    ++s.in_flight;
+    out.gop = &e;
+    out.row = p.next_row++;
+    charge_claim_locked(
+        s, out, e.bytes / (e.info.pictures.size() *
+                           static_cast<std::size_t>(c.rows)));
   }
 
   /// The opener's picture is open: pins its references and makes its
@@ -926,14 +885,15 @@ struct Engine {
   /// opener completes it undecoded.
   bool publish_open(Claim& claim) {
     const std::scoped_lock lock(mutex_);
-    SlicePic& p = *claim.slice;
-    p.state = SlicePic::State::kOpen;
+    ChainPic& p = *claim.pic;
+    const int rows = claim.chain->rows;
+    p.state = ChainPic::State::kOpen;
     p.fwd = std::move(claim.fwd);
     p.bwd = std::move(claim.bwd);
     ++epoch_;
     if (claim.session->stopped()) {
-      p.next_row = p.rows;
-      p.rows_done = p.rows - 1;
+      p.next_row = rows;
+      p.rows_done = rows - 1;
       return false;
     }
     cv_.notify_all();
@@ -947,26 +907,27 @@ struct Engine {
   bool finish_row(const Claim& claim, int concealed, bool& deliver) {
     const std::scoped_lock lock(mutex_);
     Session& s = *claim.session;
-    SlicePic& p = *claim.slice;
+    ChainPic& p = *claim.pic;
     p.concealed += std::max(concealed, 0);
-    const bool last = ++p.rows_done == p.rows;
+    const bool last = ++p.rows_done == claim.chain->rows;
     if (concealed < 0 && !s.stopped()) abort_session_locked(s);
     deliver = last && !s.stopped();
     return last;
   }
 
-  /// Settles a slice-granularity task. `last` completes the picture with
-  /// `frame`, its delivered frame (null when none was); `failed` (a
-  /// picture that could not open, recovery off) aborts the session.
-  void finish_slice_task(const Claim& claim, std::int64_t task_ns, bool last,
-                         mpeg2::FramePtr frame, bool damaged, bool failed) {
+  /// Settles a picture task. `last` completes the picture with `frame`,
+  /// its delivered frame (null when none was); `failed` (a picture that
+  /// could not decode, recovery off) aborts the session.
+  void finish_pic_task(const Claim& claim, std::int64_t task_ns, bool last,
+                       mpeg2::FramePtr frame, bool damaged, bool failed) {
     const std::scoped_lock lock(mutex_);
     Session& s = *claim.session;
     ++epoch_;
     claim.gop->cost_ns += task_ns;
     if (last) {
-      complete_slice_pic_locked(s, *claim.slice, std::move(frame), damaged);
-      retire_slice_pics_locked(s);
+      complete_pic_locked(s, *claim.chain, *claim.pic, std::move(frame),
+                          damaged);
+      retire_pics_locked(s, *claim.chain);
     }
     if (failed && !s.stopped()) abort_session_locked(s);
     settle_claim_locked(s, claim, task_ns);
@@ -976,12 +937,12 @@ struct Engine {
 
   /// Marks a picture complete. `frame` is its delivered frame (null when
   /// nothing was delivered), kept while later pictures may reference it.
-  /// The caller retires pictures once it is done iterating `s.pics`.
-  void complete_slice_pic_locked(Session& s, SlicePic& p,
-                                 mpeg2::FramePtr frame, bool damaged = false) {
+  /// The caller retires pictures once it is done iterating the chain.
+  void complete_pic_locked(Session& s, Chain& c, ChainPic& p,
+                           mpeg2::FramePtr frame, bool damaged = false) {
     GopEntry& e = *p.gop;
-    p.state = SlicePic::State::kComplete;
-    --s.open_pics;
+    p.state = ChainPic::State::kComplete;
+    --c.open;
     p.fwd.reset();
     p.bwd.reset();
     p.work = {};
@@ -995,25 +956,26 @@ struct Engine {
     }
   }
 
-  /// Drops completed pictures from the front of `s.pics` that no picture
-  /// still to open references. The chain only moves forward, so the next
-  /// picture to open (or, past the scanned ones, the chain itself) holds
-  /// the oldest reference any later picture can take.
-  static void retire_slice_pics_locked(Session& s) {
-    int keep = s.next_open;
-    const SlicePic* next =
-        keep < s.pics_end()
-            ? &s.pics[static_cast<std::size_t>(keep - s.pics_base)]
-            : nullptr;
-    for (const int ref : {next ? next->newest : s.chain_newest,
-                          next ? next->older : s.chain_older}) {
+  /// Drops completed pictures from the front of `c` that no picture still
+  /// to open references, then `c` itself once it is empty: it then carries
+  /// no reference into a later GOP. The chain only moves forward, so the
+  /// next picture to open (or, past the appended ones, the chain's
+  /// references) holds the oldest reference any later picture can take.
+  static void retire_pics_locked(Session& s, Chain& c) {
+    int keep = c.next_open;
+    const ChainPic* next = keep < c.end() ? &c.at(keep) : nullptr;
+    for (const int ref : {next ? next->newest : c.newest,
+                          next ? next->older : c.older}) {
       if (ref >= 0) keep = std::min(keep, ref);
     }
-    while (!s.pics.empty() &&
-           s.pics.front().state == SlicePic::State::kComplete &&
-           s.pics.front().index < keep) {
-      s.pics.pop_front();
-      ++s.pics_base;
+    while (!c.pics.empty() &&
+           c.pics.front().state == ChainPic::State::kComplete &&
+           c.pics.front().index < keep) {
+      c.pics.pop_front();
+      ++c.base;
+    }
+    if (c.pics.empty()) {
+      s.chains.remove_if([&c](const Chain& x) { return &x == &c; });
     }
   }
 
@@ -1029,28 +991,23 @@ struct Engine {
                               ewma_, e.bytes);
     ++epoch_;
     if (explode) {
+      // A chain of its own: fresh references, one task per picture, no
+      // cap on open pictures. Nothing is ever appended to it.
       ++s.exploded_gops;
-      explode_entry(s, e);
-      s.active.insert(
-          std::lower_bound(s.active.begin(), s.active.end(), g), g);
-      // The dispatching worker claims the GOP's first ready picture itself
-      // (picture 0 has no intra-GOP references, so one is always ready).
-      for (int i = 0; i < static_cast<int>(e.info.pictures.size()); ++i) {
-        if (pic_ready(e, i)) {
-          fill_picture_claim(s, e, g, i, out);
-          break;
-        }
-      }
-      charge_claim_locked(s, out,
-                          e.bytes / std::max<std::size_t>(
-                                        e.info.pictures.size(), 1));
+      Chain& c = s.chains.emplace_back();
+      append_gop(s, c, e);
+      c.newest = c.older = -1;
+      // The dispatching worker opens the GOP's first picture itself (it
+      // has no references).
+      out.kind = Claim::Kind::kOpen;
+      out.chain = &c;
+      out.pic = &c.pics.front();
+      claim_pic_locked(s, out);
     } else {
       ++s.gop_mode_gops;
       out.kind = Claim::Kind::kWholeGop;
       out.session = &s;
       out.gop = &e;
-      out.entry = g;
-      out.pic = -1;
       charge_claim_locked(s, out, e.bytes);
     }
     cv_.notify_all();  // the session's scan may be claimable again
@@ -1064,30 +1021,6 @@ struct Engine {
     out.charged_ns = predicted > 0 ? predicted : 0;
     s.served_ns += out.charged_ns;
     ++s.in_flight;
-  }
-
-  /// Builds the exploded block: the static non-B reference chain (scan
-  /// picture types) mirrors decode_gop's rolling fwd/bwd state machine, so
-  /// resolved references match the sequential path picture for picture —
-  /// including quarantined reference pictures, whose synthesized frames
-  /// feed later predictions exactly as in the whole-GOP task.
-  void explode_entry(Session& s, GopEntry& e) {
-    const std::size_t n = e.info.pictures.size();
-    e.exploded = true;
-    e.newest.assign(n, -1);
-    e.older.assign(n, -1);
-    e.state.assign(n, 0);
-    e.frames.assign(n, nullptr);
-    if (s.cfg.quarantine_gops) e.ranks = mpeg2::display_ranks(e.info);
-    int older = -1, newest = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-      e.newest[i] = newest;
-      e.older[i] = older;
-      if (e.info.pictures[i].type != mpeg2::PictureType::kB) {
-        older = newest;
-        newest = static_cast<int>(i);
-      }
-    }
   }
 
   void settle_claim_locked(Session& s, const Claim& claim,
@@ -1113,39 +1046,11 @@ struct Engine {
     cv_.notify_all();
   }
 
-  void finish_picture(const Claim& claim, mpeg2::FramePtr frame,
-                      std::int64_t task_ns, bool damaged, bool ok) {
-    const std::scoped_lock lock(mutex_);
-    Session& s = *claim.session;
-    ++epoch_;
-    settle_claim_locked(s, claim, task_ns);
-    if (!ok) {
-      abort_session_locked(s);
-      maybe_finalize_locked(s);
-      cv_.notify_all();
-      return;
-    }
-    GopEntry& e = *claim.gop;
-    e.frames[static_cast<std::size_t>(claim.pic)] = std::move(frame);
-    e.state[static_cast<std::size_t>(claim.pic)] = 2;
-    e.cost_ns += task_ns;
-    if (damaged) e.damaged = true;
-    if (++e.completed == static_cast<int>(e.info.pictures.size())) {
-      const auto it = std::find(s.active.begin(), s.active.end(),
-                                claim.entry);
-      if (it != s.active.end()) s.active.erase(it);
-      complete_entry_locked(s, e);
-    }
-    maybe_finalize_locked(s);
-    cv_.notify_all();
-  }
-
-  /// Every picture of an exploded or row-dispatched GOP is complete.
+  /// Every picture of a chained GOP is complete.
   void complete_entry_locked(Session& s, GopEntry& e) {
     if (e.damaged) s.quarantined.fetch_add(1, std::memory_order_relaxed);
     ewma_.observe(e.cost_ns, e.bytes);
     if (!e.damaged) calibrate_locked(s, e, e.cost_ns);
-    e.frames.clear();  // return reference frames to the session pool
     ++s.completed_gops;
   }
 
@@ -1218,10 +1123,10 @@ struct Engine {
       r.checksum = s.display->checksum();
     }
     r.state = s.state;
-    // Teardown order matters for the leak proof: the slice pictures' and
-    // the entries' reference frames and the display's reorder buffer go
-    // back to the pool first, then the pool's counters are read.
-    s.pics.clear();
+    // Teardown order matters for the leak proof: the chains' reference
+    // frames and the display's reorder buffer go back to the pool first,
+    // then the pool's counters are read.
+    s.chains.clear();
     s.entries.clear();
     s.display.reset();
     if (s.pool) {
@@ -1285,105 +1190,89 @@ struct Engine {
         continue;
       }
       if (hooks_.h_wait) hooks_.h_wait->record(stats.sync_ns - sync_before);
-      if (claim.kind == Claim::Kind::kOpen ||
-          claim.kind == Claim::Kind::kRow) {
-        slice_task(claim, w, stats, prof);
+      if (claim.kind != Claim::Kind::kWholeGop) {
+        picture_task(claim, w, stats, prof);
         continue;
       }
       Session& s = *claim.session;
       const std::int64_t task_begin = tracer ? tracer->now_ns() : 0;
-      ThreadCpuTimer cpu;
+      const ThreadCpuTimer cpu;
       // claim.gop was resolved under mutex_; never re-index s.entries
       // here — a scan task may be push_back-ing the deque concurrently.
-      if (claim.kind == Claim::Kind::kWholeGop) {
-        const GopEntry& e = *claim.gop;
-        const parallel::GopTask task{&e.info, e.index, e.display_base};
-        const parallel::GopOutcome outcome =
-            parallel::decode_gop(s.stream, s.structure, task, *s.pool,
-                                 *s.display, stats, s.gobs, w);
-        const std::int64_t task_ns = cpu.elapsed_ns();
-        if (tracer) {
-          tracer->emit(w, obs::SpanKind::kGopTask, task_begin,
-                       tracer->now_ns(), -1, -1, e.index);
-        }
-        note_task(stats, s, w, task_ns, prof);
-        finish_whole(claim, task_ns, outcome);
-      } else {
-        const GopEntry& e = *claim.gop;
-        const auto& info =
-            e.info.pictures[static_cast<std::size_t>(claim.pic)];
-        parallel::PictureOutcome out = parallel::decode_one_picture(
-            s.stream, s.structure, info, e.index,
-            e.display_base + claim.pic, e.display_base,
-            claim.ranked_display, claim.fwd, claim.bwd, *s.pool,
-            *s.display, stats, s.gobs, w);
-        const std::int64_t task_ns = cpu.elapsed_ns();
-        const bool ok = out.frame != nullptr;
-        const bool damaged =
-            out.quarantined ||
-            (out.concealed_slices > 0 && s.cfg.quarantine_gops);
-        // Drop the reference handles BEFORE finish_picture decrements
-        // in_flight: finalize reads the pool's leak counters the moment
-        // in_flight hits zero, and these two FramePtrs must be back in
-        // the free list by then.
-        claim.fwd.reset();
-        claim.bwd.reset();
-        note_task(stats, s, w, task_ns, prof);
-        finish_picture(claim, std::move(out.frame), task_ns, damaged, ok);
+      const GopEntry& e = *claim.gop;
+      const parallel::GopTask task{&e.info, e.index, e.display_base};
+      const parallel::GopOutcome outcome =
+          parallel::decode_gop(s.stream, s.structure, task, *s.pool,
+                               *s.display, stats, s.gobs, w);
+      const std::int64_t task_ns = cpu.elapsed_ns();
+      if (tracer) {
+        tracer->emit(w, obs::SpanKind::kGopTask, task_begin,
+                     tracer->now_ns(), -1, -1, e.index);
       }
+      note_task(stats, s, w, task_ns, prof);
+      finish_whole(claim, task_ns, outcome);
     }
     if (prof) obs::prof::StageProfiler::unbind();
   }
 
-  /// Slice granularity: opens a picture and decodes its first row
-  /// (kOpen), or decodes one more row (kRow). open_picture, decode_open_rows
-  /// and close_picture are decode_one_picture's own three steps, so a
-  /// picture decodes to the same bytes as on the GOP and adaptive paths.
-  /// Whoever finishes a picture's last row closes it.
-  void slice_task(Claim& claim, int w, parallel::WorkerStats& stats,
-                  obs::prof::WorkerProf* prof) {
+  /// A chained picture's task. A one-task picture (an exploded GOP's, or
+  /// an MPEG-1 slice-granularity one) is decode_one_picture in one claim.
+  /// Otherwise kOpen opens the picture and decodes its first row, kRow one
+  /// more row, and whoever finishes the last row closes it. open_picture,
+  /// decode_open_rows and close_picture are decode_one_picture's own three
+  /// steps, so a picture decodes to the same bytes on every path.
+  void picture_task(Claim& claim, int w, parallel::WorkerStats& stats,
+                    obs::prof::WorkerProf* prof) {
     Session& s = *claim.session;
-    SlicePic& p = *claim.slice;
+    ChainPic& p = *claim.pic;
     const GopEntry& e = *claim.gop;
     const auto& info = e.info.pictures[static_cast<std::size_t>(p.pic)];
+    const int index = e.display_base + p.pic;  // session decode order
     const ThreadCpuTimer cpu;
-    bool decode = true;
-    if (claim.kind == Claim::Kind::kOpen) {
-      parallel::PictureOutcome out;
-      if (!parallel::open_picture(s.stream, s.structure, info, e.index,
-                                  p.index, e.display_base,
-                                  claim.ranked_display, claim.fwd, claim.bwd,
-                                  *s.pool, *s.display, s.gobs, w, p.work,
-                                  out)) {
-        // Quarantined (and delivered) or, with recovery off, failed.
-        claim.fwd.reset();
-        claim.bwd.reset();
-        const std::int64_t task_ns = cpu.elapsed_ns();
-        note_task(stats, s, w, task_ns, prof);
-        const bool failed = !out.frame;
-        finish_slice_task(claim, task_ns, /*last=*/true, std::move(out.frame),
-                          out.quarantined, failed);
-        return;
-      }
-      decode = publish_open(claim);
-    }
-    const int concealed =
-        decode ? parallel::decode_open_rows(s.stream, info, p.index,
-                                            p.rows == 1 ? -1 : claim.row,
-                                            p.work, stats, s.gobs, w)
-               : 0;
-    bool deliver = false;
-    const bool last = finish_row(claim, concealed, deliver);
     parallel::PictureOutcome out;
-    if (deliver) {
-      out = parallel::close_picture(p.work, p.concealed, info, e.index,
-                                    p.index, *s.display, s.gobs, w);
+    bool last = true;
+    bool failed = false;
+    if (claim.chain->rows == 1) {
+      out = parallel::decode_one_picture(
+          s.stream, s.structure, info, e.index, index, e.display_base,
+          claim.ranked_display, claim.fwd, claim.bwd, *s.pool, *s.display,
+          stats, s.gobs, w);
+      failed = !out.frame;
+    } else if (claim.kind == Claim::Kind::kOpen &&
+               !parallel::open_picture(s.stream, s.structure, info, e.index,
+                                       index, e.display_base,
+                                       claim.ranked_display, claim.fwd,
+                                       claim.bwd, *s.pool, *s.display,
+                                       s.gobs, w, p.work, out)) {
+      // Quarantined (and delivered) or, with recovery off, failed.
+      failed = !out.frame;
+    } else {
+      const bool decode =
+          claim.kind == Claim::Kind::kRow || publish_open(claim);
+      const int concealed =
+          decode ? parallel::decode_open_rows(s.stream, info, index,
+                                              claim.row, p.work, stats,
+                                              s.gobs, w)
+                 : 0;
+      bool deliver = false;
+      last = finish_row(claim, concealed, deliver);
+      if (deliver) {
+        out = parallel::close_picture(p.work, p.concealed, info, e.index,
+                                      index, *s.display, s.gobs, w);
+      }
     }
+    // Drop the reference handles BEFORE finish_pic_task decrements
+    // in_flight: finalize reads the pool's leak counters the moment
+    // in_flight hits zero, and these FramePtrs must be back in the free
+    // list by then.
+    claim.fwd.reset();
+    claim.bwd.reset();
     const std::int64_t task_ns = cpu.elapsed_ns();
     note_task(stats, s, w, task_ns, prof);
-    finish_slice_task(claim, task_ns, last, std::move(out.frame),
-                      out.concealed_slices > 0 && s.cfg.quarantine_gops,
-                      /*failed=*/false);
+    finish_pic_task(
+        claim, task_ns, last, std::move(out.frame),
+        out.quarantined || (out.concealed_slices > 0 && s.cfg.quarantine_gops),
+        failed);
   }
 
   void note_task(parallel::WorkerStats& stats, Session& s, int w,

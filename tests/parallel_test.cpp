@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "mpeg2/decoder.h"
+#include "parallel/adaptive/adaptive_decoder.h"
 #include "parallel/display.h"
 #include "parallel/gop_decoder.h"
 #include "parallel/slice_parallel.h"
@@ -365,6 +366,26 @@ TEST(ParallelDecoders, SliceMemoryIndependentOfGopSize) {
   const std::int64_t frame_bytes = 176 * 128 * 3 / 2;
   EXPECT_LE(t_large.peak_bytes(), 3 * t_small.peak_bytes());
   EXPECT_LE(t_large.peak_bytes(), 13 * frame_bytes);
+
+  // The adaptive decoder's exploded GOPs keep the same picture lifetime:
+  // B frames are never retained, and a reference frame goes back to the
+  // pool once no unopened picture of its GOP can use it. One worker makes
+  // the peak deterministic; the depth threshold forces every GOP to
+  // explode.
+  mpeg2::MemoryTracker a_small, a_large;
+  AdaptiveDecoderConfig acfg;
+  acfg.workers = 1;
+  acfg.depth_threshold = 1'000'000;
+  acfg.tracker = &a_small;
+  const RunResult rs = AdaptiveDecoder(acfg).decode(small);
+  ASSERT_TRUE(rs.ok);
+  acfg.tracker = &a_large;
+  const RunResult rl = AdaptiveDecoder(acfg).decode(large);
+  ASSERT_TRUE(rl.ok);
+  EXPECT_EQ(rs.exploded_gops, 2);
+  EXPECT_EQ(rl.exploded_gops, 1);
+  EXPECT_EQ(a_large.peak_bytes(), a_small.peak_bytes());
+  EXPECT_LE(a_large.peak_bytes(), 4 * frame_bytes);
 }
 
 TEST(ParallelDecoders, RejectsGarbage) {
