@@ -10,7 +10,8 @@
 // in virtual time at Granularity::kAdaptive):
 //
 //   throughput mode — the pipeline is deep: run the GOP whole, exactly the
-//     GOP decoder's task (decode_gop), zero inter-worker communication;
+//     GOP decoder's task (one worker decodes its pictures in order along
+//     a private chain), zero inter-worker communication;
 //   latency mode — the queue is shallow or the GOP is a predicted
 //     straggler: explode the GOP into a picture chain, the slice
 //     decoder's machinery with one task per picture, so all workers

@@ -1,7 +1,6 @@
 #include "parallel/gop_work.h"
 
 #include <utility>
-#include <vector>
 
 #include "obs/live/telemetry.h"
 #include "obs/metrics.h"
@@ -40,7 +39,7 @@ bool open_picture(std::span<const std::uint8_t> stream,
     if (gobs.concealed_pics) {
       gobs.concealed_pics->fetch_add(1, std::memory_order_relaxed);
     }
-    out.quarantined = true;
+    out.damaged = true;
     out.frame = dst;
     display.push(std::move(dst));
     if (gobs.live) {
@@ -121,7 +120,7 @@ PictureOutcome close_picture(OpenPicture& pic, int concealed,
     concealed += mpeg2::conceal_coverage_gaps(pic.ctx, pic.covered);
   }
   PictureOutcome out;
-  out.concealed_slices = concealed;
+  out.damaged = concealed > 0 && gobs.quarantine;
   if (concealed > 0) {
     if (gobs.concealed) {
       gobs.concealed->fetch_add(concealed, std::memory_order_relaxed);
@@ -171,46 +170,6 @@ PictureOutcome decode_one_picture(std::span<const std::uint8_t> stream,
   if (concealed < 0) return out;  // unreachable when concealing
   return close_picture(pic, concealed, info, gop_index, pic_index, display,
                        gobs, worker);
-}
-
-GopOutcome decode_gop(std::span<const std::uint8_t> stream,
-                      const mpeg2::StreamStructure& structure,
-                      const GopTask& task, mpeg2::FramePool& pool,
-                      DisplaySink& display, WorkerStats& stats,
-                      const GopObs& gobs, int worker) {
-  mpeg2::FramePtr fwd_ref, bwd_ref;
-  int pic_index = task.display_base;
-  GopOutcome outcome;
-  std::vector<int> ranks;
-  if (gobs.quarantine) ranks = mpeg2::display_ranks(*task.info);
-  for (int i = 0; i < static_cast<int>(task.info->pictures.size());
-       ++i, ++pic_index) {
-    const auto& info = task.info->pictures[static_cast<std::size_t>(i)];
-    const int ranked =
-        gobs.quarantine
-            ? task.display_base + ranks[static_cast<std::size_t>(i)]
-            : -1;
-    PictureOutcome out = decode_one_picture(
-        stream, structure, info, task.index, pic_index, task.display_base,
-        ranked, fwd_ref, bwd_ref, pool, display, stats, gobs, worker);
-    if (!out.frame) return outcome;
-    if (out.quarantined || (out.concealed_slices > 0 && gobs.quarantine)) {
-      outcome.damaged = true;
-    }
-    // References advance on every non-B picture — a quarantined picture's
-    // synthesized frame serves as the reference, which is what bounds the
-    // blast radius of a fault to its own GOP.
-    const mpeg2::PictureType type = out.frame->type;
-    if (type != mpeg2::PictureType::kB) {
-      fwd_ref = bwd_ref;
-      bwd_ref = std::move(out.frame);
-    }
-  }
-  if (outcome.damaged && gobs.quarantined) {
-    gobs.quarantined->fetch_add(1, std::memory_order_relaxed);
-  }
-  outcome.ok = true;
-  return outcome;
 }
 
 }  // namespace pmp2::parallel

@@ -1,11 +1,13 @@
-// Whole-GOP, per-picture and per-row decode core of the DecodeServer
-// engine (src/serve/server.cpp), which runs the GOP-parallel, adaptive
-// and slice-parallel decoders as one-session façades. A closed GOP decodes
-// end to end with private reference frames; with quarantine on, every
-// undecodable picture is synthesized (concealed) so the GOP still delivers
-// its full picture count and sibling GOPs stay untouched. Keeping this in
-// one translation unit is what makes whole-GOP, exploded and row dispatch
-// bit-exact with each other by construction.
+// Per-picture and per-row decode core of the DecodeServer engine
+// (src/serve/server.cpp), which runs the GOP-parallel, adaptive and
+// slice-parallel decoders as one-session façades. The engine hands every
+// picture its references from a chain of pictures in decode order: a
+// whole-GOP task decodes its closed GOP along a chain of its own, with
+// private reference frames, calling decode_one_picture once per picture.
+// With quarantine on, every undecodable picture is synthesized (concealed)
+// so the GOP still delivers its full picture count and sibling GOPs stay
+// untouched. Keeping this in one translation unit is what makes whole-GOP,
+// exploded and row dispatch bit-exact with each other by construction.
 #pragma once
 
 #include <atomic>
@@ -28,13 +30,6 @@ class LiveTelemetry;
 
 namespace pmp2::parallel {
 
-struct GopTask {
-  const mpeg2::GopInfo* info = nullptr;
-  int index = 0;         // GOP ordinal within the stream
-  int display_base = 0;  // global display (and decode) index of this GOP's
-                         // first picture
-};
-
 /// Per-run observability/recovery context shared by the GOP workers.
 struct GopObs {
   obs::Tracer* tracer = nullptr;
@@ -42,7 +37,6 @@ struct GopObs {
   bool quarantine = false;
   std::atomic<int>* concealed = nullptr;
   std::atomic<int>* concealed_pics = nullptr;
-  std::atomic<int>* quarantined = nullptr;
   ErrorLog* errors = nullptr;
   obs::Histogram* h_resync = nullptr;
   obs::live::LiveTelemetry* live = nullptr;
@@ -50,10 +44,10 @@ struct GopObs {
 
 /// Result of decoding (or quarantining) one picture of a closed GOP.
 struct PictureOutcome {
-  mpeg2::FramePtr frame;     // null only when recovery is off and decode
-                             // failed (the caller must fail the run)
-  bool quarantined = false;  // the whole picture was synthesized
-  int concealed_slices = 0;  // slices concealed within a successful decode
+  mpeg2::FramePtr frame;  // null only when recovery is off and decode
+                          // failed (the caller must fail the run)
+  bool damaged = false;   // quarantine on, and the picture was synthesized
+                          // or had slices concealed
 };
 
 /// A picture between open_picture and close_picture. Tasks decoding
@@ -99,16 +93,16 @@ struct OpenPicture {
                                            DisplaySink& display,
                                            const GopObs& gobs, int worker);
 
-/// Decodes one picture with explicit GOP-private references, pushing the
-/// finished (or concealed) frame to the display sink. `fwd_ref`/`bwd_ref`
-/// follow decode_gop's rolling convention: bwd = newest reference before
-/// this picture, fwd = the one before that (P predicts from bwd; B from
-/// fwd and bwd; quarantine conceals from bwd, falling back to fwd). With
-/// quarantine on, `ranked_display_index` carries the display_ranks()-based
-/// slot; otherwise the parsed temporal reference decides. This is
-/// open_picture, decode_open_rows over every row and close_picture in one
-/// task; the engine's row tasks run the same three steps, which is what
-/// keeps whole-GOP, exploded and row dispatch byte-identical per picture.
+/// Decodes one picture with explicit references, pushing the finished (or
+/// concealed) frame to the display sink. `bwd_ref` is the newest reference
+/// picture before this one and `fwd_ref` the one before that (P predicts
+/// from bwd; B from fwd and bwd; quarantine conceals from bwd, falling
+/// back to fwd). With quarantine on, `ranked_display_index` carries the
+/// display_ranks()-based slot; otherwise the parsed temporal reference
+/// decides. This is open_picture, decode_open_rows over every row and
+/// close_picture in one task; the engine's row tasks run the same three
+/// steps, which is what keeps whole-GOP, exploded and row dispatch
+/// byte-identical per picture.
 [[nodiscard]] PictureOutcome decode_one_picture(
     std::span<const std::uint8_t> stream,
     const mpeg2::StreamStructure& structure, const mpeg2::PictureInfo& info,
@@ -116,23 +110,5 @@ struct OpenPicture {
     const mpeg2::FramePtr& fwd_ref, const mpeg2::FramePtr& bwd_ref,
     mpeg2::FramePool& pool, DisplaySink& display, WorkerStats& stats,
     const GopObs& gobs, int worker);
-
-/// What decode_gop did with one GOP.
-struct GopOutcome {
-  bool ok = false;       // false only when recovery is off and a picture
-                         // failed
-  bool damaged = false;  // quarantine on, and a picture was synthesized
-                         // or had slices concealed
-};
-
-/// Decodes one closed GOP with private reference state. Frames come from
-/// the shared pool; finished pictures go straight to the display sink.
-/// Fails only when recovery is off (gobs.quarantine clear); with
-/// quarantine every picture is delivered, concealed where undecodable.
-[[nodiscard]] GopOutcome decode_gop(std::span<const std::uint8_t> stream,
-                              const mpeg2::StreamStructure& structure,
-                              const GopTask& task, mpeg2::FramePool& pool,
-                              DisplaySink& display, WorkerStats& stats,
-                              const GopObs& gobs, int worker);
 
 }  // namespace pmp2::parallel

@@ -86,7 +86,9 @@ struct SliceDecoderConfig {
   /// telemetry"): per-worker cells, scan/display cells, queue depth and
   /// the shared frame-latency histogram, updated in flight. Must be
   /// sized with at least `workers` worker cells — an undersized instance
-  /// is ignored rather than written out of range. Null = zero cost.
+  /// is ignored rather than written out of range. Null is not free: the
+  /// engine then writes the same cells into the session's own telemetry
+  /// surface, which nothing samples.
   obs::live::LiveTelemetry* live = nullptr;
   /// Optional hardware-counter stage profiler (docs/OBSERVABILITY.md,
   /// "Hardware profiling"): needs `workers` slots (slot w = worker w,

@@ -33,8 +33,7 @@ namespace {
 constexpr std::int64_t kMinWaitSpanNs = 1'000;
 
 /// One GOP as a session's scheduler tracks it. Scan-time fields are
-/// immutable after push; the rest is guarded by the server mutex and
-/// counts the GOP's picture tasks once its pictures are on a chain.
+/// immutable after push; the rest is guarded by the server mutex.
 /// `enqueue_ns` is what the queue-inclusive latency histogram is measured
 /// from.
 struct GopEntry {
@@ -43,9 +42,9 @@ struct GopEntry {
   int display_base = 0;
   std::uint64_t bytes = 0;
   std::int64_t enqueue_ns = 0;
-
   std::vector<int> ranks;  // display_ranks (quarantine only)
-  int completed = 0;       // pictures complete
+
+  int completed = 0;  // pictures complete (chained GOPs)
   bool damaged = false;
   std::int64_t cost_ns = 0;  // accumulated task CPU time (EWMA feedback)
 };
@@ -71,10 +70,11 @@ struct ChainPic {
 };
 
 /// Pictures opened in decode order, each once its references are
-/// complete: the slice granularity's session-wide chain, or one GOP the
-/// adaptive dispatcher exploded. Each picture is `rows` tasks; the opener
-/// runs the first. A B frame is never retained, and a reference frame only
-/// while a picture still to open may use it.
+/// complete: the slice granularity's session-wide chain, one GOP the
+/// adaptive dispatcher exploded, or a whole-GOP task's private one. Each
+/// picture is `rows` tasks; the opener runs the first. A B frame is never
+/// retained, and a reference frame only while a picture still to open may
+/// use it.
 struct Chain {
   int rows = 1;            // tasks per picture
   int max_open = INT_MAX;  // pictures opening or open at once
@@ -100,18 +100,62 @@ struct Chain {
     return index < base ? nullptr
                         : pics[static_cast<std::size_t>(index - base)].frame;
   }
+
+  /// Takes the next picture in decode order for opening.
+  ChainPic& open_next() {
+    ChainPic& p = at(next_open++);
+    p.state = ChainPic::State::kOpening;
+    ++open;
+    return p;
+  }
+
+  /// Marks `p` complete. `frame` is its delivered frame (null when nothing
+  /// was delivered), kept while later pictures may reference it.
+  void complete(ChainPic& p, mpeg2::FramePtr frame) {
+    p.state = ChainPic::State::kComplete;
+    --open;
+    p.fwd.reset();
+    p.bwd.reset();
+    p.work = {};
+    if (p.gop->info.pictures[static_cast<std::size_t>(p.pic)].type !=
+        mpeg2::PictureType::kB) {
+      p.frame = std::move(frame);
+    }
+  }
+
+  /// Drops completed pictures from the front that no picture still to open
+  /// references, and returns whether the chain is empty: it then carries
+  /// no reference into a later GOP. The chain only moves forward, so the
+  /// next picture to open (or, past the appended ones, the chain's
+  /// references) holds the oldest reference any later picture can take.
+  bool retire() {
+    int keep = next_open;
+    const ChainPic* next = keep < end() ? &at(keep) : nullptr;
+    for (const int ref : {next ? next->newest : newest,
+                          next ? next->older : older}) {
+      if (ref >= 0) keep = std::min(keep, ref);
+    }
+    while (!pics.empty() &&
+           pics.front().state == ChainPic::State::kComplete &&
+           pics.front().index < keep) {
+      pics.pop_front();
+      ++base;
+    }
+    return pics.empty();
+  }
 };
 
 struct Session;
 
-/// What one cross-session claim hands a worker: decode a whole GOP, scan
-/// the session's next GOP, open a chain's picture and decode its first
-/// row, or decode one more row of an open picture. `gop`, `chain` and
-/// `pic` are resolved while the server mutex is held: entries and pictures
-/// live in std::deques whose *element* addresses are stable, but
-/// re-indexing a deque unlocked would race a scan task's concurrent
-/// push_back on its internal block map — workers must go through these
-/// pointers, never s.entries[...] or a chain's pics[...].
+/// What one cross-session claim hands a worker: decode a whole GOP (along
+/// a chain of the task's own), scan the session's next GOP, open a chain's
+/// picture and decode its first row, or decode one more row of an open
+/// picture. `gop`, `chain` and `pic` are resolved while the server mutex
+/// is held: entries and pictures live in std::deques whose *element*
+/// addresses are stable, but re-indexing a deque unlocked would race a
+/// scan task's concurrent push_back on its internal block map — workers
+/// must go through these pointers, never s.entries[...] or a chain's
+/// pics[...].
 struct Claim {
   enum class Kind { kWholeGop, kScan, kOpen, kRow } kind = Kind::kWholeGop;
   Session* session = nullptr;
@@ -119,7 +163,6 @@ struct Claim {
   Chain* chain = nullptr;
   ChainPic* pic = nullptr;
   int row = -1;
-  int ranked_display = -1;
   std::int64_t charged_ns = 0;  // predicted cost debited at claim time
   mpeg2::FramePtr fwd, bwd;
 };
@@ -142,7 +185,6 @@ struct Session {
   std::optional<parallel::DisplaySink> display;
   std::atomic<int> concealed{0};
   std::atomic<int> concealed_pics{0};
-  std::atomic<int> quarantined{0};
   parallel::ErrorLog errors;
   parallel::GopObs gobs;
   obs::live::SessionSurface* surface = nullptr;
@@ -158,6 +200,7 @@ struct Session {
   std::list<Chain> chains;
   int pushed = 0;
   int completed_gops = 0;
+  int quarantined = 0;  // GOPs completed damaged
   int queued_gops = 0;  // entries sitting in `queue`
   int in_flight = 0;    // claims handed out (scan included), not finished
   int gop_mode_gops = 0;
@@ -515,8 +558,7 @@ struct Engine {
     }
     const std::int64_t task_ns = cpu.elapsed_ns();
     const std::scoped_lock lock(mutex_);
-    stats.compute_ns += task_ns;  // load_summary() reads under mutex_
-    settle_claim_locked(s, claim, task_ns);
+    settle_claim_locked(s, claim, stats, task_ns);
     s.scan_claimed = false;
     if (!ready) {
       // Admission validated the preamble, so this is defensive only.
@@ -553,7 +595,6 @@ struct Engine {
     s.gobs.quarantine = s.cfg.quarantine_gops;
     s.gobs.concealed = &s.concealed;
     s.gobs.concealed_pics = &s.concealed_pics;
-    s.gobs.quarantined = &s.quarantined;
     s.gobs.errors = s.cfg.quarantine_gops ? &s.errors : nullptr;
     s.gobs.h_resync = hooks_.h_resync;
     s.gobs.live = s.live;
@@ -612,6 +653,7 @@ struct Engine {
       s.enqueue_by_display.resize(
           static_cast<std::size_t>(s.total_pictures + pics), e.enqueue_ns);
     }
+    if (s.cfg.quarantine_gops) e.ranks = mpeg2::display_ranks(e.info);
     s.total_pictures += pics;
     ++s.pushed;
     if (hooks_.granularity != sched::Granularity::kSlice) {
@@ -640,17 +682,17 @@ struct Engine {
   }
 
   /// Appends the GOP's pictures to `c` in decode order with their
-  /// references. The static non-B chain (scan picture types) mirrors
-  /// decode_gop's rolling fwd/bwd state machine, so resolved references
-  /// match the whole-GOP path picture for picture, including quarantined
-  /// reference pictures, whose synthesized frames feed later predictions.
-  /// A closed GOP starts fresh references, as on the whole-GOP path; so
-  /// does every GOP under quarantine, whose blast radius is one GOP on
-  /// every path. Without quarantine an open GOP's leading pictures take
-  /// the previous GOP's references (slice granularity only).
+  /// references: the engine's one reference rule, for every granularity.
+  /// A picture's references are the newest non-B picture before it and
+  /// the non-B before that (scan picture types): P predicts from the
+  /// newest, B from both, and quarantine conceals from the newest. A
+  /// quarantined reference picture's synthesized frame feeds later
+  /// predictions. A closed GOP starts fresh references; so does every GOP
+  /// under quarantine, whose blast radius is one GOP on every path.
+  /// Without quarantine an open GOP's leading pictures take the previous
+  /// GOP's references (slice granularity only).
   static void append_gop(const Session& s, Chain& c, GopEntry& e) {
     if (e.info.closed || s.cfg.quarantine_gops) c.newest = c.older = -1;
-    if (s.cfg.quarantine_gops) e.ranks = mpeg2::display_ranks(e.info);
     for (std::size_t i = 0; i < e.info.pictures.size(); ++i) {
       ChainPic& p = c.pics.emplace_back();
       p.gop = &e;
@@ -857,9 +899,7 @@ struct Engine {
     ChainPic& p = *out.pic;
     GopEntry& e = *p.gop;
     if (out.kind == Claim::Kind::kOpen) {
-      p.state = ChainPic::State::kOpening;
-      ++c.next_open;
-      ++c.open;
+      c.open_next();
       if (p.pic == 0 && hooks_.granularity == sched::Granularity::kSlice) {
         // The GOP leaves the scan's backpressure window.
         --s.queued_gops;
@@ -869,7 +909,6 @@ struct Engine {
       }
       out.bwd = c.frame(p.newest);
       out.fwd = c.frame(p.older);
-      out.ranked_display = ranked_display(s, e, p.pic);
     }
     out.session = &s;
     out.gop = &e;
@@ -915,67 +954,46 @@ struct Engine {
     return last;
   }
 
-  /// Settles a picture task. `last` completes the picture with `frame`,
-  /// its delivered frame (null when none was); `failed` (a picture that
-  /// could not decode, recovery off) aborts the session.
-  void finish_pic_task(const Claim& claim, std::int64_t task_ns, bool last,
-                       mpeg2::FramePtr frame, bool damaged, bool failed) {
+  /// Settles a decode task under the one lock it takes after its claim:
+  /// the worker's stats, the GOP's cost and the session's claim. A whole
+  /// GOP completes unless it `failed`; a picture task that was its
+  /// picture's `last` completes the picture with `frame`, its delivered
+  /// frame (null when none was). `failed` (a picture that could not
+  /// decode, recovery off) aborts the session.
+  void settle_task(const Claim& claim, parallel::WorkerStats& stats,
+                   std::int64_t task_ns, bool last, mpeg2::FramePtr frame,
+                   bool damaged, bool failed) {
     const std::scoped_lock lock(mutex_);
     Session& s = *claim.session;
+    GopEntry& e = *claim.gop;
     ++epoch_;
-    claim.gop->cost_ns += task_ns;
-    if (last) {
-      complete_pic_locked(s, *claim.chain, *claim.pic, std::move(frame),
-                          damaged);
-      retire_pics_locked(s, *claim.chain);
+    e.cost_ns += task_ns;
+    if (claim.kind == Claim::Kind::kWholeGop) {
+      e.damaged = damaged;
+      if (!failed) complete_entry_locked(s, e);
+    } else if (last) {
+      Chain& c = *claim.chain;
+      complete_pic_locked(s, c, *claim.pic, std::move(frame), damaged);
+      if (c.retire()) {
+        s.chains.remove_if([&c](const Chain& x) { return &x == &c; });
+      }
     }
     if (failed && !s.stopped()) abort_session_locked(s);
-    settle_claim_locked(s, claim, task_ns);
+    settle_claim_locked(s, claim, stats, task_ns);
     maybe_finalize_locked(s);
     cv_.notify_all();
   }
 
-  /// Marks a picture complete. `frame` is its delivered frame (null when
-  /// nothing was delivered), kept while later pictures may reference it.
-  /// The caller retires pictures once it is done iterating the chain.
+  /// Marks a shared chain's picture complete (Chain::complete) and counts
+  /// it toward its GOP. The caller retires pictures (Chain::retire) once
+  /// it is done iterating the chain.
   void complete_pic_locked(Session& s, Chain& c, ChainPic& p,
                            mpeg2::FramePtr frame, bool damaged = false) {
     GopEntry& e = *p.gop;
-    p.state = ChainPic::State::kComplete;
-    --c.open;
-    p.fwd.reset();
-    p.bwd.reset();
-    p.work = {};
-    if (e.info.pictures[static_cast<std::size_t>(p.pic)].type !=
-        mpeg2::PictureType::kB) {
-      p.frame = std::move(frame);
-    }
+    c.complete(p, std::move(frame));
     if (damaged) e.damaged = true;
     if (++e.completed == static_cast<int>(e.info.pictures.size())) {
       complete_entry_locked(s, e);
-    }
-  }
-
-  /// Drops completed pictures from the front of `c` that no picture still
-  /// to open references, then `c` itself once it is empty: it then carries
-  /// no reference into a later GOP. The chain only moves forward, so the
-  /// next picture to open (or, past the appended ones, the chain's
-  /// references) holds the oldest reference any later picture can take.
-  static void retire_pics_locked(Session& s, Chain& c) {
-    int keep = c.next_open;
-    const ChainPic* next = keep < c.end() ? &c.at(keep) : nullptr;
-    for (const int ref : {next ? next->newest : c.newest,
-                          next ? next->older : c.older}) {
-      if (ref >= 0) keep = std::min(keep, ref);
-    }
-    while (!c.pics.empty() &&
-           c.pics.front().state == ChainPic::State::kComplete &&
-           c.pics.front().index < keep) {
-      c.pics.pop_front();
-      ++c.base;
-    }
-    if (c.pics.empty()) {
-      s.chains.remove_if([&c](const Chain& x) { return &x == &c; });
     }
   }
 
@@ -1014,7 +1032,7 @@ struct Engine {
   }
 
   /// Debits the predicted cost at claim time so two claims between
-  /// completions still spread fairly; finish_* settles the difference
+  /// completions still spread fairly; the settle charges the difference
   /// against the measured cost.
   void charge_claim_locked(Session& s, Claim& out, std::uint64_t bytes) {
     const std::int64_t predicted = ewma_.predict(bytes);
@@ -1023,32 +1041,22 @@ struct Engine {
     ++s.in_flight;
   }
 
+  /// Ends a claim: charges the worker's thread CPU (load_summary() reads
+  /// it under mutex_; a scan is not a decode task) and the session's
+  /// fairness ledger, and releases the claim.
   void settle_claim_locked(Session& s, const Claim& claim,
+                           parallel::WorkerStats& stats,
                            std::int64_t task_ns) {
+    stats.compute_ns += task_ns;
+    if (claim.kind != Claim::Kind::kScan) ++stats.tasks;
     s.served_ns += task_ns - claim.charged_ns;
     --s.in_flight;
   }
 
-  void finish_whole(const Claim& claim, std::int64_t task_ns,
-                    parallel::GopOutcome outcome) {
-    const std::scoped_lock lock(mutex_);
-    Session& s = *claim.session;
-    ++epoch_;
-    settle_claim_locked(s, claim, task_ns);
-    if (!outcome.ok) {
-      abort_session_locked(s);
-    } else {
-      ewma_.observe(task_ns, claim.gop->bytes);
-      if (!outcome.damaged) calibrate_locked(s, *claim.gop, task_ns);
-      ++s.completed_gops;
-    }
-    maybe_finalize_locked(s);
-    cv_.notify_all();
-  }
-
-  /// Every picture of a chained GOP is complete.
+  /// A GOP is decoded: the one place where any granularity finishes one.
+  /// A damaged GOP counts as quarantined and does not calibrate.
   void complete_entry_locked(Session& s, GopEntry& e) {
-    if (e.damaged) s.quarantined.fetch_add(1, std::memory_order_relaxed);
+    if (e.damaged) ++s.quarantined;
     ewma_.observe(e.cost_ns, e.bytes);
     if (!e.damaged) calibrate_locked(s, e, e.cost_ns);
     ++s.completed_gops;
@@ -1104,7 +1112,7 @@ struct Engine {
     r.exploded_gops = s.exploded_gops;
     r.concealed_slices = s.concealed.load(std::memory_order_relaxed);
     r.concealed_pictures = s.concealed_pics.load(std::memory_order_relaxed);
-    r.quarantined_gops = s.quarantined.load(std::memory_order_relaxed);
+    r.quarantined_gops = s.quarantined;
     s.errors.drain(r.errors, r.errors_dropped);
     r.start_ns = s.start_ns;
     r.finish_ns = s.finish_ns;
@@ -1182,37 +1190,75 @@ struct Engine {
         }
       }
       if (!have) break;
-      // The scan task and finish_* must stay the worker's LAST touch of
-      // the session: the thread that drops in_flight to zero finalizes,
-      // and a client's forget() can then free the Session and its surface.
+      // Each task's settle must stay the worker's LAST touch of the
+      // session: the thread that drops in_flight to zero finalizes, and a
+      // client's forget() can then free the Session and its surface.
       if (claim.kind == Claim::Kind::kScan) {
         scan_task(claim, w, stats, prof);
         continue;
       }
       if (hooks_.h_wait) hooks_.h_wait->record(stats.sync_ns - sync_before);
-      if (claim.kind != Claim::Kind::kWholeGop) {
+      if (claim.kind == Claim::Kind::kWholeGop) {
+        gop_task(claim, w, stats, prof);
+      } else {
         picture_task(claim, w, stats, prof);
-        continue;
       }
-      Session& s = *claim.session;
-      const std::int64_t task_begin = tracer ? tracer->now_ns() : 0;
-      const ThreadCpuTimer cpu;
-      // claim.gop was resolved under mutex_; never re-index s.entries
-      // here — a scan task may be push_back-ing the deque concurrently.
-      const GopEntry& e = *claim.gop;
-      const parallel::GopTask task{&e.info, e.index, e.display_base};
-      const parallel::GopOutcome outcome =
-          parallel::decode_gop(s.stream, s.structure, task, *s.pool,
-                               *s.display, stats, s.gobs, w);
-      const std::int64_t task_ns = cpu.elapsed_ns();
-      if (tracer) {
-        tracer->emit(w, obs::SpanKind::kGopTask, task_begin,
-                     tracer->now_ns(), -1, -1, e.index);
-      }
-      note_task(stats, s, w, task_ns, prof);
-      finish_whole(claim, task_ns, outcome);
     }
     if (prof) obs::prof::StageProfiler::unbind();
+  }
+
+  /// A whole-GOP claim: the paper's GOP task. The worker decodes the GOP's
+  /// pictures in decode order along a chain of the task's own, which no
+  /// other worker can see, so it takes no lock between pictures:
+  /// references come from the chain, and frames retire by its rule. The
+  /// chain's frames are back in the pool before the settle.
+  void gop_task(const Claim& claim, int w, parallel::WorkerStats& stats,
+                obs::prof::WorkerProf* prof) {
+    Session& s = *claim.session;
+    // claim.gop was resolved under mutex_; never re-index s.entries
+    // here — a scan task may be push_back-ing the deque concurrently.
+    GopEntry& e = *claim.gop;
+    obs::Tracer* const tracer = hooks_.tracer;
+    const std::int64_t task_begin = tracer ? tracer->now_ns() : 0;
+    const ThreadCpuTimer cpu;
+    bool damaged = false;
+    bool failed = false;
+    {
+      Chain c;  // its last references go back to the pool with it
+      append_gop(s, c, e);
+      while (c.next_open < c.end()) {
+        ChainPic& p = c.open_next();
+        parallel::PictureOutcome out =
+            decode_picture(s, p, c.frame(p.older), c.frame(p.newest), stats,
+                           w);
+        if (!out.frame) {
+          failed = true;
+          break;
+        }
+        damaged = damaged || out.damaged;
+        c.complete(p, std::move(out.frame));
+        c.retire();
+      }
+    }
+    const std::int64_t task_ns = cpu.elapsed_ns();
+    if (tracer) {
+      tracer->emit(w, obs::SpanKind::kGopTask, task_begin, tracer->now_ns(),
+                   -1, -1, e.index);
+    }
+    note_task(stats, s, w, task_ns, prof);
+    settle_task(claim, stats, task_ns, true, nullptr, damaged, failed);
+  }
+
+  /// decode_one_picture on chained picture `p`.
+  static parallel::PictureOutcome decode_picture(
+      Session& s, const ChainPic& p, const mpeg2::FramePtr& fwd,
+      const mpeg2::FramePtr& bwd, parallel::WorkerStats& stats, int w) {
+    const GopEntry& e = *p.gop;
+    return parallel::decode_one_picture(
+        s.stream, s.structure, e.info.pictures[static_cast<std::size_t>(p.pic)],
+        e.index, e.display_base + p.pic, e.display_base,
+        ranked_display(s, e, p.pic), fwd, bwd, *s.pool, *s.display, stats,
+        s.gobs, w);
   }
 
   /// A chained picture's task. A one-task picture (an exploded GOP's, or
@@ -1233,15 +1279,12 @@ struct Engine {
     bool last = true;
     bool failed = false;
     if (claim.chain->rows == 1) {
-      out = parallel::decode_one_picture(
-          s.stream, s.structure, info, e.index, index, e.display_base,
-          claim.ranked_display, claim.fwd, claim.bwd, *s.pool, *s.display,
-          stats, s.gobs, w);
+      out = decode_picture(s, p, claim.fwd, claim.bwd, stats, w);
       failed = !out.frame;
     } else if (claim.kind == Claim::Kind::kOpen &&
                !parallel::open_picture(s.stream, s.structure, info, e.index,
                                        index, e.display_base,
-                                       claim.ranked_display, claim.fwd,
+                                       ranked_display(s, e, p.pic), claim.fwd,
                                        claim.bwd, *s.pool, *s.display,
                                        s.gobs, w, p.work, out)) {
       // Quarantined (and delivered) or, with recovery off, failed.
@@ -1261,31 +1304,23 @@ struct Engine {
                                       index, *s.display, s.gobs, w);
       }
     }
-    // Drop the reference handles BEFORE finish_pic_task decrements
-    // in_flight: finalize reads the pool's leak counters the moment
-    // in_flight hits zero, and these FramePtrs must be back in the free
-    // list by then.
+    // Drop the reference handles BEFORE settle_task decrements in_flight:
+    // finalize reads the pool's leak counters the moment in_flight hits
+    // zero, and these FramePtrs must be back in the free list by then.
     claim.fwd.reset();
     claim.bwd.reset();
     const std::int64_t task_ns = cpu.elapsed_ns();
     note_task(stats, s, w, task_ns, prof);
-    finish_pic_task(
-        claim, task_ns, last, std::move(out.frame),
-        out.quarantined || (out.concealed_slices > 0 && s.cfg.quarantine_gops),
-        failed);
+    settle_task(claim, stats, task_ns, last, std::move(out.frame),
+                out.damaged, failed);
   }
 
-  void note_task(parallel::WorkerStats& stats, Session& s, int w,
+  /// A decode task's unlocked telemetry: the façade's instruments, the
+  /// worker's live cell and its profiler delta. It runs BEFORE the settle
+  /// drops in_flight, so by the time wait() can return these writes have
+  /// landed, which is also what makes forget() safe.
+  void note_task(const parallel::WorkerStats& stats, Session& s, int w,
                  std::int64_t task_ns, obs::prof::WorkerProf* prof) {
-    {
-      // load_summary() reads these under mutex_ from other threads.
-      // note_task runs BEFORE finish_* settles the claim, so by the time
-      // wait() can return, this accounting (and the surface write below)
-      // has already landed — which is also what makes forget() safe.
-      const std::scoped_lock lock(mutex_);
-      stats.compute_ns += task_ns;
-      ++stats.tasks;
-    }
     if (hooks_.h_task) hooks_.h_task->record(task_ns);
     if (hooks_.m_tasks) hooks_.m_tasks->add();
     obs::live::TelemetryCell::Write lw(s.live->worker(w));

@@ -531,11 +531,20 @@ TEST(DecoderTrace, GopDecoderEmitsGopAndPictureSpans) {
   const auto stream = streamgen::generate_stream(small_spec());
   const int workers = 2;
   obs::Tracer tracer(workers + 1);
+  obs::Registry metrics;
   parallel::GopDecoderConfig cfg;
   cfg.workers = workers;
   cfg.tracer = &tracer;
+  cfg.metrics = &metrics;
   const auto r = parallel::GopParallelDecoder(cfg).decode(stream);
   ASSERT_TRUE(r.ok);
+  // One decode task per GOP, whatever the worker that ran it: the worker
+  // stats, the task counter and the task-time histogram agree.
+  std::uint64_t task_total = 0;
+  for (const auto& w : r.workers) task_total += w.tasks;
+  EXPECT_EQ(task_total, 2u);
+  EXPECT_EQ(metrics.counter("gop.tasks").value(), 2);
+  EXPECT_EQ(metrics.histogram("gop.task_ns").count(), 2);
   std::uint64_t gop_spans = 0, picture_spans = 0, scan_spans = 0;
   for (int t = 0; t < tracer.tracks(); ++t) {
     for (const auto& s : tracer.track(t).spans()) {

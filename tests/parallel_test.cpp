@@ -342,6 +342,23 @@ TEST(ParallelDecoders, GopMemoryTrackedAndBounded) {
   // reference/destination frames of one worker.
   const std::int64_t frame_bytes = 176 * 128 * 3 / 2;
   EXPECT_GE(r.peak_frame_bytes, 3 * frame_bytes);
+
+  // A whole GOP keeps only the frames a later picture of it can still
+  // reference: B frames are never retained, and every reference frame is
+  // released when its GOP ends. One worker makes the peak deterministic,
+  // and it must not grow with the GOP size (the streams of
+  // SliceMemoryIndependentOfGopSize); it stays within the adaptive
+  // decoder's forced-explode bound.
+  mpeg2::MemoryTracker g_small, g_large;
+  cfg.workers = 1;
+  cfg.tracker = &g_small;
+  ASSERT_TRUE(GopParallelDecoder(cfg).decode(generate_stream(test_spec(4, 8)))
+                  .ok);
+  cfg.tracker = &g_large;
+  ASSERT_TRUE(
+      GopParallelDecoder(cfg).decode(generate_stream(test_spec(16, 16))).ok);
+  EXPECT_EQ(g_large.peak_bytes(), g_small.peak_bytes());
+  EXPECT_LE(g_large.peak_bytes(), 4 * frame_bytes);
 }
 
 TEST(ParallelDecoders, SliceMemoryIndependentOfGopSize) {

@@ -189,9 +189,10 @@ int main(int argc, char** argv) {
   }
 
   // Solo baselines for --verify-isolation: the quarantine-on GOP decoder
-  // is byte-identical to a server session by construction (both run
-  // decode_gop/decode_one_picture), so its checksum is the "this stream
-  // decoded alone" reference a clean session must reproduce under load.
+  // is byte-identical to a server session by construction (both decode
+  // every picture with decode_one_picture's steps along a picture chain),
+  // so its checksum is the "this stream decoded alone" reference a clean
+  // session must reproduce under load.
   std::map<int, std::uint64_t> solo_checksum;
   if (verify_isolation) {
     for (const auto& p : plans) {
