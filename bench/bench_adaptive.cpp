@@ -2,12 +2,13 @@
 //
 // The paper fixes granularity per experiment: GOP tasks maximize
 // throughput (Fig. 5), slice tasks minimize latency (Fig. 11). The
-// adaptive scheduler picks per GOP at dispatch time; this harness sweeps
-// all three policies at 2/4/8/14 workers on both objectives:
+// adaptive granularity runs every GOP whole and splits it into picture
+// tasks only while a worker is idle; this harness sweeps all three
+// policies at 2/4/8/14 workers on both objectives:
 //
 //   - p99 frame latency, from a *paced* simulation where the scan process
 //     delivers bytes at the stream's real-time rate (the broadcast-input
-//     regime where exploding shallow queues pays off), and
+//     regime where splitting for idle workers pays off), and
 //   - pictures/second, from an unpaced simulation (scan outruns decode,
 //     the paper's throughput regime).
 //
@@ -92,7 +93,6 @@ int main(int argc, char** argv) {
       sched::SimConfig unpaced;
       unpaced.workers = workers;
 
-      // Adaptive policy defaults: depth = workers, factor 2.0.
       auto run = [&](sched::Granularity granularity) {
         paced.granularity = unpaced.granularity = granularity;
         ModeResult r;
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
             << Table::fmt(tol * 100, 1) << "%).\n"
             << "Reading: GOP dispatch wins throughput but queues whole GOPs"
             << " ahead of the display; slice dispatch wins latency but pays"
-            << " per-picture overhead; adaptive explodes only when the"
-            << " pipeline is shallow or the GOP is a predicted straggler.\n";
+            << " per-picture overhead; adaptive splits a GOP into picture"
+            << " tasks only while a worker is idle.\n";
   return bench::finish(flags, report);
 }

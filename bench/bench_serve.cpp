@@ -10,7 +10,9 @@
 // identity bench_check diffs against BENCH_parallel.json — with aggregate
 // pictures_per_second (higher-better) and p50/p95/p99 queue-inclusive
 // frame latency in ns (lower-better), so a regression in either direction
-// is visible under the suite's direction-aware tolerances.
+// is visible under the suite's direction-aware tolerances. How many GOPs
+// split for idle workers depends on thread timing, so the row reports it
+// as a metric (exploded_ratio), never as part of its identity.
 //
 // Fault mixes replay deterministic inject::plan_fault specs on the first N
 // sessions: the serving cost of bounded recovery (concealment, quarantine)
@@ -176,7 +178,7 @@ int main(int argc, char** argv) {
   }
 
   Table table({"sessions", "corrupt", "pics/s", "p50 ms", "p95 ms",
-               "p99 ms", "util", "exploded", "concealed", "conc. pics"});
+               "p99 ms", "util", "split", "concealed", "conc. pics"});
   bool all_ok = true;
   bool all_recovered = true;
   for (const auto& mix : mixes) {
@@ -187,13 +189,16 @@ int main(int argc, char** argv) {
       all_recovered = false;
     }
     const double pps = r.wall_s > 0 ? r.pictures / r.wall_s : 0.0;
+    const int gops = r.exploded_gops + r.gop_mode_gops;
+    const double exploded_ratio =
+        gops > 0 ? static_cast<double>(r.exploded_gops) / gops : 0.0;
     table.add_row({std::to_string(mix.sessions),
                    std::to_string(mix.corrupt), Table::fmt(pps, 1),
                    Table::fmt(r.latency.percentile(0.50) / 1e6),
                    Table::fmt(r.latency.percentile(0.95) / 1e6),
                    Table::fmt(r.latency.percentile(0.99) / 1e6),
                    Table::fmt(r.load.utilization),
-                   std::to_string(r.exploded_gops),
+                   Table::fmt(exploded_ratio),
                    std::to_string(r.concealed_slices),
                    std::to_string(r.concealed_pictures)});
     report.add_row()
@@ -206,8 +211,7 @@ int main(int argc, char** argv) {
         .set("latency_p99_ns", r.latency.percentile(0.99))
         .set("utilization", r.load.utilization)
         .set("imbalance", r.load.imbalance)
-        .set("exploded_gops", static_cast<std::int64_t>(r.exploded_gops))
-        .set("gop_mode_gops", static_cast<std::int64_t>(r.gop_mode_gops))
+        .set("exploded_ratio", exploded_ratio)
         .set("concealed_slices",
              static_cast<std::int64_t>(r.concealed_slices))
         .set("concealed_pictures",

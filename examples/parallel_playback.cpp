@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
     const std::uint64_t pool_total = r.pool_hits + r.pool_misses;
     std::cout << "adaptive dispatch: " << r.gop_mode_gops
               << " whole GOP(s), " << r.exploded_gops
-              << " exploded, pool hit rate "
+              << " split for idle workers, pool hit rate "
               << (pool_total > 0
                       ? Table::fmt(100.0 * static_cast<double>(r.pool_hits) /
                                        static_cast<double>(pool_total),

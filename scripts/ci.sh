@@ -85,7 +85,7 @@ stage_tsan() {
   # sampler thread). The GOP and adaptive decoders are one-session
   # façades over the DecodeServer engine, so the Parallel*, GopQuarantine
   # and AdaptiveDecoder/AdaptiveStress suites put the engine's claim loop
-  # (FIFO pops, whole-vs-exploded dispatch, exploded-picture reference
+  # (FIFO pops, whole-vs-split dispatch, split-chain reference
   # handoffs) under real contention, and
   # AdaptiveDecoder.FourWorkersBindProfilerSlotsConcurrently proves
   # StageProfiler::bind race-free (four worker slots binding at once; the
@@ -184,7 +184,10 @@ stage_serve() {
   #      must be a schema-valid pmp2-bench-report/1 document (proved by
   #      merging it through bench_check), and its admission object must
   #      show calibrated_gops > 0: a run that never calibrated did not
-  #      exercise the path this stage claims to cover.
+  #      exercise the path this stage claims to cover. Likewise both
+  #      adaptive modes must have run: summed over the session rows, some
+  #      GOPs split for idle workers (exploded_gops > 0) and some decoded
+  #      whole (gop_mode_gops > 0).
   #   2. isolation soak: 12 sessions with sessions 2 and 5 corrupted;
   #      --verify-isolation asserts every clean session's checksum is
   #      byte-identical to a solo run of the same stream, and the loadgen
@@ -199,9 +202,14 @@ stage_serve() {
   run build/tools/bench_check --merge --out=build/serve_smoke_suite.json \
       build/serve_smoke.json || return 1
   run python3 -c 'import json, sys
-a = json.load(open(sys.argv[1]))["admission"]
+r = json.load(open(sys.argv[1]))
+a = r["admission"]
 print("admission:", a)
-sys.exit(0 if a["calibrated_gops"] > 0 else "no GOP calibrated admission")' \
+if a["calibrated_gops"] <= 0: sys.exit("no GOP calibrated admission")
+split = sum(row["exploded_gops"] for row in r["rows"])
+whole = sum(row["gop_mode_gops"] for row in r["rows"])
+print("adaptive dispatch: %d GOPs split, %d whole" % (split, whole))
+sys.exit(0 if split > 0 and whole > 0 else "an adaptive mode never ran")' \
       build/serve_smoke.json || return 1
   run timeout "$budget" build/tools/pmp2_loadgen --streams bench_streams \
       --sessions 12 --workers 4 --corrupt 2,5 --fault-seed 3 \

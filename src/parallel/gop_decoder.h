@@ -12,7 +12,7 @@
 // the definition lives in src/serve/facades.cpp and links via pmp2_serve):
 // the session's scan tasks, run by the engine's workers, are the scan
 // process, the engine's pool the workers, the session's DisplaySink the
-// display process, and the engine never explodes a GOP.
+// display process, and the engine never splits a GOP.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +38,7 @@ class StageProfiler;
 
 namespace pmp2::parallel {
 
+/// Also the adaptive decoder's configuration (AdaptiveDecoderConfig).
 struct GopDecoderConfig {
   int workers = 4;
   /// Maximum GOP tasks queued ahead of the workers; 0 = unbounded (the
@@ -62,7 +63,9 @@ struct GopDecoderConfig {
   /// Optional span tracer: needs `workers` tracks (track w = worker w,
   /// which also runs scan tasks). Null = zero-cost no-op.
   obs::Tracer* tracer = nullptr;
-  /// Optional counter/histogram registry ("gop.*" instruments).
+  /// Optional counter/histogram registry ("gop.*" instruments, or
+  /// "adaptive.*" for the adaptive decoder, plus the shared
+  /// "decode.*"/"recover.*" families).
   obs::Registry* metrics = nullptr;
   /// Optional live telemetry surface (docs/OBSERVABILITY.md, "Live
   /// telemetry"): per-worker cells, scan/display cells, queue depth and

@@ -112,8 +112,8 @@ struct RunResult {
 
   // Dispatch accounting (GOP and adaptive decoders): how the engine
   // split the stream between whole-GOP and per-picture tasks.
-  int gop_mode_gops = 0;       // GOPs decoded whole (throughput mode)
-  int exploded_gops = 0;       // GOPs exploded into picture tasks
+  int gop_mode_gops = 0;       // GOPs decoded whole to the end
+  int exploded_gops = 0;       // GOPs split into picture tasks
   /// Always 0: the engine serves one FIFO per session, so no task ever
   /// moves between worker deques. Kept because the repository benchmark
   /// (benchmark/drive.cpp) reads it.

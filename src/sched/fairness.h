@@ -13,7 +13,7 @@
 // harness (and tests/serve_test.cpp) validates in virtual time before the
 // real server relies on it.
 //
-// Header-only pure arithmetic, like sched::should_explode: the real server
+// Header-only pure arithmetic, like sched::CostEwma: the real server
 // and the validation sim share this exact code, so the sim's fairness
 // bounds are statements about the shipped scheduler.
 #pragma once

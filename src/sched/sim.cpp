@@ -52,10 +52,12 @@ void build_timeline(Events events, SimResult& result) {
 }
 
 /// The model. Every GOP is admitted to the queue at its scan end; an idle
-/// worker claims, in order: a slice of an open picture on some chain
-/// (frames closest to display first), else the queue's head GOP, run whole
-/// or exploded onto a chain of its own per the granularity. Under kSlice
-/// the scan appends each admitted GOP to one session-wide chain instead.
+/// worker claims, in order: a task of an open picture on some chain
+/// (frames closest to display first), else the queue's head GOP, run
+/// whole. Under kAdaptive a GOP is split onto a chain of its own, one task
+/// per picture, when another worker is idle at its pop or after any
+/// picture of its whole claim. Under kSlice the scan appends each admitted
+/// GOP to one session-wide chain of slice tasks instead.
 class Model {
  public:
   Model(const StreamProfile& profile, const SimConfig& config)
@@ -65,7 +67,6 @@ class Model {
                       ? (config.workers + config.cluster_size - 1) /
                             config.cluster_size
                       : 1),
-        max_open_(std::max(1, config.max_open_pictures)),
         fb_(profile.frame_bytes()) {
     result_.workers.resize(static_cast<std::size_t>(config.workers));
     if (config.scan_bytes_per_ns > 0) {
@@ -81,14 +82,16 @@ class Model {
   SimResult run();
 
  private:
-  /// Decode-order pictures opened in order, at most max_open_ at once: a
-  /// GOP kAdaptive exploded, or kSlice's session-wide chain.
+  /// Decode-order pictures opened in order, at most max_open at once: the
+  /// rest of a GOP kAdaptive split (no cap), or kSlice's session-wide
+  /// chain (SimConfig::max_open_pictures).
   struct Chain {
     int begin = 0;         // first picture
     int end = 0;           // one past the last admitted picture
     int next = 0;          // next picture to open
     int first_active = 0;  // lowest picture that may still have work
     int open = 0;
+    int max_open = std::numeric_limits<int>::max();
   };
   struct Gop {
     const GopCost* cost = nullptr;
@@ -98,10 +101,10 @@ class Model {
     std::int64_t scanned = 0;  // scan end: the earliest admission
     std::int64_t admitted = 0;
     std::int64_t left_queue = kInf;  // claimed, or first picture opened
-    std::int64_t cost_ns = 0;        // decode cost so far (EWMA feedback)
+    double penalty = 1.0;            // NUMA cost factor of its whole claim
     int pictures_left = 0;
-    bool exploded = false;
-    Chain chain;  // kAdaptive, once exploded
+    bool exploded = false;  // split (kAdaptive) or chained (kSlice)
+    Chain chain;            // kAdaptive, once split
   };
   struct Pic {
     const PictureCost* cost = nullptr;
@@ -119,12 +122,15 @@ class Model {
   struct Idle {
     std::int64_t since;
     int id;
+    /// Found nothing to claim: what the engine counts as an idle worker.
+    bool asleep = false;
   };
   struct Event {
     std::int64_t finish;
     int worker;
     int gop;
-    int pic;  // -1: a whole-GOP claim
+    int pic;  // a whole claim's picture unless its GOP is split or chained
+              // (-1: an empty GOP's whole claim)
     // Simultaneous completions pop in heap order: deterministic, and the
     // order the pinned results (AdaptiveSim.PinnedGopAndSliceResults) hold.
     bool operator>(const Event& o) const { return finish > o.finish; }
@@ -142,8 +148,12 @@ class Model {
   void open_eligible(Chain& chain, std::int64_t now);
   [[nodiscard]] int find_slice();
   [[nodiscard]] int pop_gop(int w);
+  [[nodiscard]] bool other_idle(int w) const;
   bool try_assign(const Idle& w, std::int64_t now);
+  void split(int g, int from, std::int64_t now);
   void run_whole(const Idle& w, std::int64_t now, int g);
+  std::int64_t run_whole_pic(int w, int p, std::int64_t t);
+  void end_whole(int w, int g, std::int64_t begin, std::int64_t end);
   void run_slice(const Idle& w, std::int64_t now, int p);
   int complete(const Event& e);
   [[nodiscard]] obs::SpanKind stall_kind() const;
@@ -159,7 +169,6 @@ class Model {
   const StreamProfile& profile_;
   const SimConfig& config_;
   const int clusters_;
-  const int max_open_;
   const std::int64_t fb_;
   double rate_ = 1e9;  // scan bytes/ns; effectively instant by default
   SimResult result_;
@@ -169,10 +178,8 @@ class Model {
   std::size_t next_admit_ = 0;
   std::vector<std::deque<int>> queues_;  // one, or one per cluster
   std::vector<int> unclaimed_;           // per cluster, admitted or not
-  int queued_ = 0;                       // admitted GOPs still queued
   Chain session_;                        // kSlice's chain
   std::vector<Chain*> chains_;  // chains with work, by first picture
-  CostEwma ewma_;
   std::vector<Idle> idle_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   obs::SpanKind stall_ = obs::SpanKind::kQueueWait;
@@ -253,7 +260,10 @@ void Model::build() {
   queues_.resize(config_.numa_local_queues
                      ? static_cast<std::size_t>(clusters_)
                      : 1);
-  if (config_.granularity == Granularity::kSlice) chains_.push_back(&session_);
+  if (config_.granularity == Granularity::kSlice) {
+    session_.max_open = std::max(1, config_.max_open_pictures);
+    chains_.push_back(&session_);
+  }
   for (int w = 0; w < config_.workers; ++w) idle_.push_back({0, w});
 }
 
@@ -292,7 +302,6 @@ void Model::admit(std::int64_t now) {
       queues_[config_.numa_local_queues ? static_cast<std::size_t>(gop.home)
                                         : 0]
           .push_back(g);
-      ++queued_;
       continue;
     }
     ++result_.exploded_gops;
@@ -303,15 +312,18 @@ void Model::admit(std::int64_t now) {
 }
 
 /// Opens the chain's pictures that may open at `now`: in decode order,
-/// references complete, fewer than max_open_ open.
+/// references complete, fewer than max_open open. A picture is one task
+/// per slice under kSlice, else one task.
 void Model::open_eligible(Chain& chain, std::int64_t now) {
-  while (chain.next < chain.end && chain.open < max_open_) {
+  while (chain.next < chain.end && chain.open < chain.max_open) {
     Pic& pic = pics_[static_cast<std::size_t>(chain.next)];
     for (const int r : pic.refs) {
       if (r >= 0 && !pics_[static_cast<std::size_t>(r)].complete) return;
     }
     pic.alloc = now;
-    pic.remaining = static_cast<int>(pic.cost->slices.size());
+    pic.remaining = config_.granularity == Granularity::kSlice
+                        ? static_cast<int>(pic.cost->slices.size())
+                        : 1;
     mem_.emplace_back(now, fb_);
     if (pic.pic_in_gop == 0 && config_.granularity == Granularity::kSlice) {
       leave_queue(pic.gop, now);
@@ -321,7 +333,7 @@ void Model::open_eligible(Chain& chain, std::int64_t now) {
   }
 }
 
-/// The lowest open picture with an unclaimed slice, or -1.
+/// The lowest open picture with an unclaimed task, or -1.
 int Model::find_slice() {
   for (Chain* chain : chains_) {
     for (int i = chain->first_active; i < chain->next; ++i) {
@@ -369,6 +381,13 @@ int Model::pop_gop(int w) {
   return g;
 }
 
+/// Whether a worker other than `w` found nothing to claim.
+bool Model::other_idle(int w) const {
+  return std::any_of(idle_.begin(), idle_.end(), [w](const Idle& i) {
+    return i.asleep && i.id != w;
+  });
+}
+
 /// Hands worker `w` one claim at `now`, if it can take one.
 bool Model::try_assign(const Idle& w, std::int64_t now) {
   int p = find_slice();
@@ -376,31 +395,15 @@ bool Model::try_assign(const Idle& w, std::int64_t now) {
     const int g = pop_gop(w.id);
     if (g < 0) return false;
     Gop& gop = gops_[static_cast<std::size_t>(g)];
-    // The popped GOP still counts in the queue depth, as in the engine.
-    const bool explode =
-        config_.granularity == Granularity::kAdaptive &&
-        !gop.cost->pictures.empty() &&
-        should_explode(config_.policy, config_.workers, queued_, ewma_,
-                       gop.cost->stream_bytes);
-    --queued_;
-    if (!explode) {
+    if (config_.granularity != Granularity::kAdaptive ||
+        gop.cost->pictures.empty() || !other_idle(w.id)) {
       ++result_.gop_mode_gops;
       run_whole(w, now, g);
       return true;
     }
     ++result_.exploded_gops;
-    gop.exploded = true;
     leave_queue(g, now + config_.queue_overhead_ns);
-    const int n = static_cast<int>(gop.cost->pictures.size());
-    gop.chain = {gop.first_pic, gop.first_pic + n, gop.first_pic,
-                 gop.first_pic, 0};
-    chains_.insert(std::lower_bound(chains_.begin(), chains_.end(),
-                                    gop.first_pic,
-                                    [](const Chain* c, int first) {
-                                      return c->begin < first;
-                                    }),
-                   &gop.chain);
-    open_eligible(gop.chain, now);
+    split(g, gop.first_pic, now);
     p = find_slice();
     assert(p >= 0);
   }
@@ -408,7 +411,24 @@ bool Model::try_assign(const Idle& w, std::int64_t now) {
   return true;
 }
 
-/// A whole-GOP claim: its pictures in decode order on worker `w`.
+/// Puts GOP `g`'s pictures from `from` on a chain of its own.
+void Model::split(int g, int from, std::int64_t now) {
+  Gop& gop = gops_[static_cast<std::size_t>(g)];
+  gop.exploded = true;
+  gop.chain.begin = gop.chain.next = gop.chain.first_active = from;
+  gop.chain.end =
+      gop.first_pic + static_cast<int>(gop.cost->pictures.size());
+  chains_.insert(std::lower_bound(chains_.begin(), chains_.end(), from,
+                                  [](const Chain* c, int first) {
+                                    return c->begin < first;
+                                  }),
+                 &gop.chain);
+  open_eligible(gop.chain, now);
+}
+
+/// A whole-GOP claim: its pictures in decode order on worker `w`, one
+/// event per picture, so under kAdaptive the claim can split at any
+/// picture boundary (complete()).
 void Model::run_whole(const Idle& w, std::int64_t now, int g) {
   Gop& gop = gops_[static_cast<std::size_t>(g)];
   const std::int64_t start = now + config_.queue_overhead_ns;
@@ -419,41 +439,63 @@ void Model::run_whole(const Idle& w, std::int64_t now, int g) {
   const bool remote =
       config_.cluster_size > 0 && cluster_of(w.id) != gop.home;
   if (remote) ++stats.remote_tasks;
-  const double penalty = remote ? config_.remote_penalty : 1.0;
-  std::int64_t t = start;
-  for (int i = 0; i < static_cast<int>(gop.cost->pictures.size()); ++i) {
-    Pic& pic = pics_[static_cast<std::size_t>(gop.first_pic + i)];
-    std::int64_t cost = 0;
-    for (int s = 0; s < static_cast<int>(pic.cost->slices.size()); ++s) {
-      cost += slice_cost(pic, s);
-    }
-    cost = static_cast<std::int64_t>(static_cast<double>(cost) * penalty);
-    pic.alloc = t;
-    t += cost;
-    stats.busy_ns += cost;
-    pic.completion = t;
-    if (config_.tracer) {
-      config_.tracer->emit(w.id, obs::SpanKind::kPicture, pic.alloc, t,
-                           pic.display_index, -1, g);
-    }
+  gop.penalty = remote ? config_.remote_penalty : 1.0;
+  if (gop.cost->pictures.empty()) {
+    end_whole(w.id, g, start, start);
+    events_.push({start, w.id, g, -1});
+  } else {
+    events_.push({run_whole_pic(w.id, gop.first_pic, start), w.id, g,
+                  gop.first_pic});
   }
-  ++stats.tasks;
-  if (config_.tracer) {
-    config_.tracer->emit(w.id, obs::SpanKind::kGopTask, start, t, -1, -1, g);
-  }
-  gop.cost_ns = t - start;
-  // The GOP's bytes sit in the stream buffer from admission to decode end.
-  const auto bytes = static_cast<std::int64_t>(gop.cost->stream_bytes);
-  stream_.emplace_back(gop.admitted, bytes);
-  stream_.emplace_back(t, -bytes);
-  events_.push({t, w.id, g, -1});
 }
 
-/// One slice task of open picture `p` on worker `w`.
+/// Picture `p` of a whole claim on worker `w` from `t`; returns its end.
+std::int64_t Model::run_whole_pic(int w, int p, std::int64_t t) {
+  Pic& pic = pics_[static_cast<std::size_t>(p)];
+  std::int64_t cost = 0;
+  for (int s = 0; s < static_cast<int>(pic.cost->slices.size()); ++s) {
+    cost += slice_cost(pic, s);
+  }
+  cost = static_cast<std::int64_t>(
+      static_cast<double>(cost) *
+      gops_[static_cast<std::size_t>(pic.gop)].penalty);
+  pic.alloc = t;
+  mem_.emplace_back(t, fb_);
+  result_.workers[static_cast<std::size_t>(w)].busy_ns += cost;
+  pic.completion = t + cost;
+  if (config_.tracer) {
+    config_.tracer->emit(w, obs::SpanKind::kPicture, t, pic.completion,
+                         pic.display_index, -1, pic.gop);
+  }
+  return pic.completion;
+}
+
+/// Ends worker `w`'s whole claim of GOP `g`, run from `begin` to `end`:
+/// its last picture, or where it split.
+void Model::end_whole(int w, int g, std::int64_t begin, std::int64_t end) {
+  const Gop& gop = gops_[static_cast<std::size_t>(g)];
+  ++result_.workers[static_cast<std::size_t>(w)].tasks;
+  if (config_.tracer) {
+    config_.tracer->emit(w, obs::SpanKind::kGopTask, begin, end, -1, -1, g);
+  }
+  // The GOP's bytes sit in the stream buffer from admission to claim end.
+  const auto bytes = static_cast<std::int64_t>(gop.cost->stream_bytes);
+  stream_.emplace_back(gop.admitted, bytes);
+  stream_.emplace_back(end, -bytes);
+}
+
+/// One task of open picture `p` on worker `w`: its next slice under
+/// kSlice, else the whole picture.
 void Model::run_slice(const Idle& w, std::int64_t now, int p) {
   Pic& pic = pics_[static_cast<std::size_t>(p)];
   const int s = pic.next_slice++;
   std::int64_t cost = slice_cost(pic, s);
+  if (config_.granularity != Granularity::kSlice) {
+    for (; pic.next_slice < static_cast<int>(pic.cost->slices.size());
+         ++pic.next_slice) {
+      cost += slice_cost(pic, pic.next_slice);
+    }
+  }
   if (s == 0) cost += config_.picture_overhead_ns;
   const bool remote =
       config_.cluster_size > 0 && cluster_of(w.id) != p % clusters_;
@@ -467,41 +509,61 @@ void Model::run_slice(const Idle& w, std::int64_t now, int p) {
   stats.busy_ns += cost;
   ++stats.tasks;
   if (remote) ++stats.remote_tasks;
-  gops_[static_cast<std::size_t>(pic.gop)].cost_ns += cost;
   wait_span(w, now, start, stall_);
-  if (config_.tracer) {
+  if (config_.tracer && config_.granularity == Granularity::kSlice) {
     config_.tracer->emit(w.id, obs::SpanKind::kSliceTask, start, start + cost,
                          p, s);
+  } else if (config_.tracer) {
+    config_.tracer->emit(w.id, obs::SpanKind::kPicture, start, start + cost,
+                         pic.display_index, -1, pic.gop);
   }
   events_.push({start + cost, w.id, pic.gop, p});
 }
 
-/// Settles a finished claim; returns the pictures it completed.
+/// Settles a finished task and frees its worker, unless a whole claim
+/// goes on with its next picture; returns the pictures it completed. Under
+/// kAdaptive a whole claim splits after a picture when another worker is
+/// idle and pictures remain.
 int Model::complete(const Event& e) {
   Gop& gop = gops_[static_cast<std::size_t>(e.gop)];
-  int done = static_cast<int>(gop.cost->pictures.size());
-  if (e.pic >= 0) {
-    Pic& pic = pics_[static_cast<std::size_t>(e.pic)];
-    if (--pic.remaining > 0) return 0;
-    pic.complete = true;
-    pic.completion = e.finish;
-    for (const int r : pic.refs) {
-      if (r >= 0) {
-        auto& ref = pics_[static_cast<std::size_t>(r)];
-        ref.last_ref_use = std::max(ref.last_ref_use, e.finish);
-      }
+  Pic* pic = e.pic >= 0 ? &pics_[static_cast<std::size_t>(e.pic)] : nullptr;
+  if (!pic || (gop.exploded && --pic->remaining > 0)) {
+    idle_.push_back({e.finish, e.worker});
+    return 0;
+  }
+  pic->complete = true;
+  pic->completion = e.finish;
+  for (const int r : pic->refs) {
+    if (r >= 0) {
+      auto& ref = pics_[static_cast<std::size_t>(r)];
+      ref.last_ref_use = std::max(ref.last_ref_use, e.finish);
     }
+  }
+  if (!gop.exploded) {
+    if (--gop.pictures_left > 0 &&
+        (config_.granularity != Granularity::kAdaptive ||
+         !other_idle(e.worker))) {
+      events_.push({run_whole_pic(e.worker, e.pic + 1, e.finish), e.worker,
+                    e.gop, e.pic + 1});
+      return 1;
+    }
+    end_whole(e.worker, e.gop,
+              pics_[static_cast<std::size_t>(gop.first_pic)].alloc, e.finish);
+    if (gop.pictures_left > 0) {
+      --result_.gop_mode_gops;
+      ++result_.exploded_gops;
+      split(e.gop, e.pic + 1, e.finish);
+    }
+  } else {
     Chain& chain =
         config_.granularity == Granularity::kSlice ? session_ : gop.chain;
     --chain.open;
-    done = 1;
-    if (--gop.pictures_left > 0) return done;
-    if (&chain != &session_) {
+    if (--gop.pictures_left == 0 && &chain != &session_) {
       chains_.erase(std::find(chains_.begin(), chains_.end(), &chain));
     }
   }
-  ewma_.observe(gop.cost_ns, gop.cost->stream_bytes);
-  return done;
+  idle_.push_back({e.finish, e.worker});
+  return 1;
 }
 
 /// Why idle workers are stalling right now, mirroring the engine: a chain
@@ -511,7 +573,7 @@ obs::SpanKind Model::stall_kind() const {
   obs::SpanKind kind = obs::SpanKind::kQueueWait;
   for (const Chain* chain : chains_) {
     if (chain->next >= chain->end) continue;
-    if (chain->open >= max_open_) return obs::SpanKind::kBackpressure;
+    if (chain->open >= chain->max_open) return obs::SpanKind::kBackpressure;
     kind = obs::SpanKind::kBarrierWait;
   }
   return kind;
@@ -540,6 +602,7 @@ SimResult Model::run() {
       }
     }
     if (!idle_.empty()) stall_ = stall_kind();
+    for (Idle& i : idle_) i.asleep = true;
 
     // Advance virtual time to the next completion or admission.
     const std::int64_t arrival = next_admission();
@@ -548,7 +611,6 @@ SimResult Model::run() {
       events_.pop();
       now = std::max(now, e.finish);
       remaining -= complete(e);
-      idle_.push_back({e.finish, e.worker});
     } else if (arrival != kInf) {
       now = std::max(now, arrival);
     } else {
@@ -607,7 +669,6 @@ SimResult Model::run() {
       // A whole claim holds every frame of its GOP until the GOP ends.
       const int last = gop.first_pic +
                        static_cast<int>(gop.cost->pictures.size()) - 1;
-      mem_.emplace_back(pic.alloc, fb_);
       freed =
           std::max(freed, pics_[static_cast<std::size_t>(last)].completion);
     }

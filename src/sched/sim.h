@@ -6,7 +6,9 @@
 // machine. The scan admits each GOP to a single FIFO once its bytes are
 // scanned; idle workers claim work earliest-idle first; the granularity
 // (sched/adaptive.h) sets what a popped GOP becomes — one whole-GOP task,
-// or slice tasks along a decode-order picture chain. Produces the
+// split into picture tasks while another worker is idle (kAdaptive, which
+// knows the idle workers exactly), or slice tasks along a decode-order
+// picture chain (kSlice). Produces the
 // quantities of the paper's evaluation — speedup, per-worker compute/sync
 // time, load balance, memory-over-time — for any processor count,
 // deterministically.
@@ -37,8 +39,6 @@ struct SimConfig {
   int workers = 4;
   /// What a GOP popped from the queue becomes (sched/adaptive.h).
   Granularity granularity = Granularity::kWholeGop;
-  /// kAdaptive only: the explode decision's knobs.
-  AdaptivePolicy policy;
   /// false (default): deterministic work-unit costs scaled by the profile's
   /// calibration constant; true: raw measured per-slice nanoseconds.
   bool measured_costs = false;
@@ -52,8 +52,8 @@ struct SimConfig {
   /// Cost of one task-queue access (lock + dequeue), charged to sync. The
   /// paper measured this to be negligible; it is modelled anyway.
   std::int64_t queue_overhead_ns = 1'000;
-  /// Per-picture overhead of exploded pictures (re-reading picture
-  /// headers, §5.2.1), charged to the worker that claims its first slice.
+  /// Per-picture overhead of chained pictures (re-reading picture headers,
+  /// §5.2.1), charged to the worker that claims its first task.
   std::int64_t picture_overhead_ns = 20'000;
   /// Model the scan process: a GOP only enters the queue once its bytes
   /// have been scanned. When false all GOPs are ready at t = 0.
@@ -72,9 +72,9 @@ struct SimConfig {
   /// Pace the display process at the stream frame rate (used by the memory
   /// timeline experiments; throughput experiments leave it off).
   bool paced_display = false;
-  /// Pictures open at once on a picture chain: kSlice's session-wide chain
-  /// (1 is the paper's simple slice policy, 3 its improved one) and each
-  /// GOP kAdaptive explodes.
+  /// kSlice only: pictures open at once on the session-wide chain (1 is
+  /// the paper's simple slice policy, 3 its improved one). A GOP kAdaptive
+  /// splits opens its pictures without a cap, as the engine does.
   int max_open_pictures = 3;
 
   // --- Concealment cost model (fault-injection what-if analysis) ---
@@ -123,15 +123,16 @@ struct SimResult {
   int pictures = 0;
   int concealed_slices = 0;  // slices the fault model marked corrupt
   std::vector<SimWorkerStats> workers;
-  /// Frame bytes, plus the stream buffer of whole-GOP claims. A whole
-  /// claim owns its GOP's frames until the GOP ends (the paper's Fig. 8
-  /// rule): each lives from its decode to max(display, GOP decode end). An
-  /// exploded picture lives from its open to max(display, last use as a
-  /// reference), the lifetime the engine's picture chains keep too.
+  /// Frame bytes, plus the stream buffer of whole-GOP claims. A GOP run
+  /// whole owns its frames until it ends (the paper's Fig. 8 rule): each
+  /// lives from its decode to max(display, GOP decode end). A picture of a
+  /// split or chained GOP lives from its open to max(display, last use as
+  /// a reference), the lifetime the engine's picture chains keep too.
   std::vector<MemSample> memory_timeline;
   std::int64_t peak_memory = 0;
   /// Scan-ahead buffer alone (the scan(t) term of Fig. 9): a whole-claimed
-  /// GOP's bytes from its admission to its decode end.
+  /// GOP's bytes from its admission to the end of its claim (its decode
+  /// end, or where it split).
   std::int64_t peak_stream_bytes = 0;
 
   /// Frame-latency objective (the second axis of the bi-criteria Pareto
@@ -144,8 +145,10 @@ struct SimResult {
   std::vector<std::int64_t> frame_latency_ns;
 
   // Dispatch accounting: how the popped GOPs were run.
-  int gop_mode_gops = 0;  // GOPs run whole (throughput mode)
-  int exploded_gops = 0;  // GOPs exploded into slice tasks (latency mode)
+  int gop_mode_gops = 0;  // GOPs run whole to the end (throughput mode)
+  /// GOPs split into tasks (latency mode): under kAdaptive at their pop or
+  /// at a picture boundary of their whole claim, under kSlice every GOP.
+  int exploded_gops = 0;
 
   [[nodiscard]] double pictures_per_second() const {
     return makespan_ns > 0 ? pictures * 1e9 / static_cast<double>(makespan_ns)

@@ -37,8 +37,8 @@ namespace pmp2::serve::detail {
 struct EngineHooks {
   /// How the engine dispatches the session's GOPs (sched/adaptive.h).
   /// kSlice's tasks are macroblock rows; an MPEG-1 picture, whose slices
-  /// may span rows, is one task, as is every picture of a GOP kAdaptive
-  /// explodes.
+  /// may span rows, is one task, as is every remaining picture of a GOP
+  /// kAdaptive splits for a waiting worker or session.
   sched::Granularity granularity = sched::Granularity::kAdaptive;
   /// kSlice only: pictures open at once (1 is parallel::SlicePolicy::
   /// kSimple's barrier at every picture).

@@ -3,9 +3,10 @@
 // config.workers threads, submits the stream as its only session, waits
 // for it, and maps the SessionResult plus the engine's per-worker stats
 // into RunResult. The three façades differ only in the engine's dispatch
-// granularity: the GOP decoder never explodes a GOP, the adaptive decoder
-// asks sched::should_explode at every pop, and the slice decoder runs
-// every picture as macroblock-row tasks.
+// granularity: the GOP decoder never splits a GOP, the adaptive decoder
+// splits one into picture tasks whenever a worker is idle (its session is
+// the engine's only one), and the slice decoder runs every picture as
+// macroblock-row tasks.
 #include <algorithm>
 #include <string>
 
@@ -21,18 +22,19 @@ namespace pmp2::parallel {
 
 namespace {
 
-/// Runs one façade decode. `Config` is GopDecoderConfig,
-/// AdaptiveDecoderConfig or SliceDecoderConfig (the fields all share);
-/// `server`, `session` and `hooks` carry what only one of them has;
-/// `prefix` names the per-task instruments ("gop", "adaptive", "slice").
+/// Runs one façade decode. `Config` is GopDecoderConfig (which the
+/// adaptive decoder shares) or SliceDecoderConfig; `session` and `hooks`
+/// carry what only one of them has; `prefix` names the per-task
+/// instruments ("gop", "adaptive", "slice").
 template <typename Config>
 RunResult decode_one_session(std::span<const std::uint8_t> stream,
                              const FrameCallback& on_frame,
-                             const Config& config, serve::ServerConfig server,
+                             const Config& config,
                              serve::SessionConfig session,
                              serve::detail::EngineHooks hooks,
                              const std::string& prefix) {
   WallTimer total_timer;
+  serve::ServerConfig server;
   server.workers = config.workers;
   server.watchdog_ns = config.watchdog_ns;
   session.quarantine_gops = config.quarantine_gops;
@@ -118,22 +120,18 @@ RunResult GopParallelDecoder::decode(std::span<const std::uint8_t> stream,
   session.max_queued_gops = config_.max_queued_gops;
   serve::detail::EngineHooks hooks;
   hooks.granularity = sched::Granularity::kWholeGop;
-  return decode_one_session(stream, on_frame, config_, {}, session,
+  return decode_one_session(stream, on_frame, config_, session,
                             std::move(hooks), "gop");
 }
 
 RunResult AdaptiveDecoder::decode(std::span<const std::uint8_t> stream,
                                   const FrameCallback& on_frame) {
-  serve::ServerConfig server;
-  server.depth_threshold = config_.depth_threshold;
-  server.cost_factor = config_.cost_factor;
   serve::SessionConfig session;
   session.max_queued_gops = config_.max_queued_gops;
   serve::detail::EngineHooks hooks;
   hooks.granularity = sched::Granularity::kAdaptive;
-  RunResult result = decode_one_session(stream, on_frame, config_, server,
-                                        session, std::move(hooks),
-                                        "adaptive");
+  RunResult result = decode_one_session(stream, on_frame, config_, session,
+                                        std::move(hooks), "adaptive");
   if (config_.metrics) {
     obs::Registry& m = *config_.metrics;
     m.counter("adaptive.gop_mode_gops").add(result.gop_mode_gops);
@@ -153,7 +151,7 @@ RunResult SliceParallelDecoder::decode(std::span<const std::uint8_t> stream,
   hooks.max_open_pictures = config_.policy == SlicePolicy::kSimple
                                 ? 1
                                 : std::max(1, config_.max_open_pictures);
-  RunResult result = decode_one_session(stream, on_frame, config_, {}, {},
+  RunResult result = decode_one_session(stream, on_frame, config_, {},
                                         std::move(hooks), "slice");
   if (config_.metrics) {
     obs::Registry& m = *config_.metrics;

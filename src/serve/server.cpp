@@ -295,9 +295,8 @@ struct Engine {
       : config_(config),
         hooks_(std::move(hooks)),
         admission_(config.admission, config.workers),
-        surfaces_(config.workers) {
-    policy_.depth_threshold = config.depth_threshold;
-    policy_.cost_factor = config.cost_factor;
+        surfaces_(config.workers),
+        waiting_(config.workers) {
     worker_stats_.resize(static_cast<std::size_t>(config.workers));
     pool_.start(config.workers, [this](int w) { worker_main(w); });
   }
@@ -473,6 +472,7 @@ struct Engine {
     s.virtual_start_ns = sched::virtual_start(s.cfg.weight, shares_);
     s.served_ns = s.virtual_start_ns;
     s.state = SessionState::kRunning;
+    waiting_.fetch_add(1, std::memory_order_relaxed);  // holds no claim
     s.start_ns = timer_.elapsed_ns();
     s.surface = &surfaces_.open(s.id, s.cfg.name);
     s.live = hooks_.live ? hooks_.live : &s.surface->live;
@@ -505,7 +505,6 @@ struct Engine {
   /// and unclaimed rows never claimed. In-flight tasks finish on their own;
   /// the chains' reference frames go back to the pool at finalize.
   void purge_session_queue_locked(Session& s) {
-    queued_total_ -= static_cast<int>(s.queue.size());
     if (s.live) s.live->add_queue_depth(-s.queued_gops);
     s.queue.clear();
     s.queued_gops = 0;
@@ -659,7 +658,6 @@ struct Engine {
     if (hooks_.granularity != sched::Granularity::kSlice) {
       s.queue.push_back(id);
       ++s.queued_gops;
-      ++queued_total_;
       s.live->add_queue_depth(1);
     } else if (e.info.pictures.empty()) {
       ++s.completed_gops;  // nothing to open
@@ -707,6 +705,16 @@ struct Engine {
     }
   }
 
+  /// A chain of GOP `e` alone: fresh references, one task per picture, no
+  /// cap on open pictures. Nothing is ever appended to it, so it keeps no
+  /// reference past its last picture.
+  static Chain gop_chain(const Session& s, GopEntry& e) {
+    Chain c;
+    append_gop(s, c, e);
+    c.newest = c.older = -1;
+    return c;
+  }
+
   void record_latency(Session& s, const mpeg2::Frame& frame) {
     std::int64_t enqueue = -1;
     {
@@ -731,10 +739,12 @@ struct Engine {
     std::unique_lock lock(mutex_);
     for (;;) {
       if (stop_) break;
+      waiting_.fetch_sub(1, std::memory_order_relaxed);  // claiming
       if (try_claim_locked(out)) {
         stats.sync_ns += waited.elapsed_ns();
         return true;
       }
+      waiting_.fetch_add(1, std::memory_order_relaxed);
       if (config_.watchdog_ns > 0 && pending_work_locked()) {
         const std::uint64_t before = epoch_;
         const auto status = cv_.wait_for(
@@ -792,12 +802,10 @@ struct Engine {
   }
 
   /// Fair pick, then intra-session dispatch: the session's scan first
-  /// (keeping its queue as deep as its bound, the depth should_explode
-  /// reads), then its chains' picture tasks before queued whole GOPs
-  /// (frames closest to display first), and the whole-vs-exploded decision
-  /// at pop time from the *global* queue depth plus the shared
-  /// cross-session CostEwma — the adaptive dispatcher with its signal
-  /// widened to the whole server.
+  /// (keeping its queue as deep as its bound), then its chains' picture
+  /// tasks before queued whole GOPs (frames closest to display first),
+  /// then the queue's head GOP, split at pop time when a worker or another
+  /// session waits anywhere in the server.
   bool try_claim_locked(Claim& out) {
     shares_.clear();
     for (const auto& s : sessions_) {
@@ -814,7 +822,7 @@ struct Engine {
     Session& s = *sessions_[static_cast<std::size_t>(idx)];
     if (s.scan_claimable()) {
       s.scan_claimed = true;
-      ++s.in_flight;
+      add_claims_locked(s, 1);
       out.kind = Claim::Kind::kScan;
       out.session = &s;
       return true;
@@ -826,7 +834,6 @@ struct Engine {
     const int g = s.queue.front();
     s.queue.pop_front();
     --s.queued_gops;
-    --queued_total_;
     s.live->add_queue_depth(-1);
     dispatch_locked(s, g, out);
     return true;
@@ -956,13 +963,17 @@ struct Engine {
 
   /// Settles a decode task under the one lock it takes after its claim:
   /// the worker's stats, the GOP's cost and the session's claim. A whole
-  /// GOP completes unless it `failed`; a picture task that was its
+  /// GOP completes unless it `failed` or was `split`: a split GOP's chain
+  /// joins the session's chains in GOP order, its completed pictures and
+  /// their reference frames with it (a stopped session never claims it,
+  /// and its frames go back at finalize, as every chain's do). A picture
+  /// task that was its
   /// picture's `last` completes the picture with `frame`, its delivered
   /// frame (null when none was). `failed` (a picture that could not
   /// decode, recovery off) aborts the session.
   void settle_task(const Claim& claim, parallel::WorkerStats& stats,
                    std::int64_t task_ns, bool last, mpeg2::FramePtr frame,
-                   bool damaged, bool failed) {
+                   bool damaged, bool failed, Chain* split = nullptr) {
     const std::scoped_lock lock(mutex_);
     Session& s = *claim.session;
     GopEntry& e = *claim.gop;
@@ -970,7 +981,19 @@ struct Engine {
     e.cost_ns += task_ns;
     if (claim.kind == Claim::Kind::kWholeGop) {
       e.damaged = damaged;
-      if (!failed) complete_entry_locked(s, e);
+      if (split) {
+        --s.gop_mode_gops;
+        ++s.exploded_gops;
+        e.completed = split->next_open;
+        s.chains.insert(std::find_if(s.chains.begin(), s.chains.end(),
+                                     [&e](const Chain& c) {
+                                       return c.pics.front().gop->index >
+                                              e.index;
+                                     }),
+                        std::move(*split));
+      } else if (!failed) {
+        complete_entry_locked(s, e);
+      }
     } else if (last) {
       Chain& c = *claim.chain;
       complete_pic_locked(s, c, *claim.pic, std::move(frame), damaged);
@@ -997,24 +1020,21 @@ struct Engine {
     }
   }
 
-  /// The dispatch decision, at pop time, with the popped GOP still counted
-  /// in the queue depth (as sched::simulate models it). The whole-GOP
-  /// granularity never explodes.
+  /// The dispatch decision at pop time: under kAdaptive, a GOP popped
+  /// while someone else waits (a worker, or another session) is split at
+  /// once; otherwise it is a whole-GOP claim, which gop_task may still
+  /// split. kWholeGop never splits.
   void dispatch_locked(Session& s, int g, Claim& out) {
     GopEntry& e = s.entries[static_cast<std::size_t>(g)];
+    const int self = s.in_flight > 0 ? 0 : 1;  // `s` waits while it has none
     const bool explode =
         hooks_.granularity == sched::Granularity::kAdaptive &&
         !e.info.pictures.empty() &&
-        sched::should_explode(policy_, config_.workers, queued_total_ + 1,
-                              ewma_, e.bytes);
+        waiting_.load(std::memory_order_relaxed) > self;
     ++epoch_;
     if (explode) {
-      // A chain of its own: fresh references, one task per picture, no
-      // cap on open pictures. Nothing is ever appended to it.
       ++s.exploded_gops;
-      Chain& c = s.chains.emplace_back();
-      append_gop(s, c, e);
-      c.newest = c.older = -1;
+      Chain& c = s.chains.emplace_back(gop_chain(s, e));
       // The dispatching worker opens the GOP's first picture itself (it
       // has no references).
       out.kind = Claim::Kind::kOpen;
@@ -1022,11 +1042,16 @@ struct Engine {
       out.pic = &c.pics.front();
       claim_pic_locked(s, out);
     } else {
+      // Debited as one picture, since it splits as soon as someone waits
+      // (kWholeGop runs only as the GOP decoder's one session): a GOP's
+      // debit, refunded at the split, seeded newcomers' virtual starts
+      // so high that they waited behind it.
       ++s.gop_mode_gops;
       out.kind = Claim::Kind::kWholeGop;
       out.session = &s;
       out.gop = &e;
-      charge_claim_locked(s, out, e.bytes);
+      charge_claim_locked(
+          s, out, e.bytes / std::max<std::size_t>(1, e.info.pictures.size()));
     }
     cv_.notify_all();  // the session's scan may be claimable again
   }
@@ -1038,7 +1063,15 @@ struct Engine {
     const std::int64_t predicted = ewma_.predict(bytes);
     out.charged_ns = predicted > 0 ? predicted : 0;
     s.served_ns += out.charged_ns;
-    ++s.in_flight;
+    add_claims_locked(s, 1);
+  }
+
+  /// Moves the session's claim count, and its place among the waiters
+  /// while it holds none.
+  void add_claims_locked(Session& s, int delta) {
+    if (s.in_flight == 0) waiting_.fetch_sub(1, std::memory_order_relaxed);
+    s.in_flight += delta;
+    if (s.in_flight == 0) waiting_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Ends a claim: charges the worker's thread CPU (load_summary() reads
@@ -1050,7 +1083,7 @@ struct Engine {
     stats.compute_ns += task_ns;
     if (claim.kind != Claim::Kind::kScan) ++stats.tasks;
     s.served_ns += task_ns - claim.charged_ns;
-    --s.in_flight;
+    add_claims_locked(s, -1);
   }
 
   /// A GOP is decoded: the one place where any granularity finishes one.
@@ -1094,6 +1127,7 @@ struct Engine {
     if (!s.stopped() && !(s.scan_done && s.completed_gops == s.pushed)) {
       return;
     }
+    waiting_.fetch_sub(1, std::memory_order_relaxed);  // no longer running
     // The display emits on the pushing worker inside its task, so at
     // quiescence every push has emitted: a picture still owed never comes.
     if (!s.stopped() && s.scan_ok &&
@@ -1195,6 +1229,7 @@ struct Engine {
       // client's forget() can then free the Session and its surface.
       if (claim.kind == Claim::Kind::kScan) {
         scan_task(claim, w, stats, prof);
+        waiting_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       if (hooks_.h_wait) hooks_.h_wait->record(stats.sync_ns - sync_before);
@@ -1203,6 +1238,7 @@ struct Engine {
       } else {
         picture_task(claim, w, stats, prof);
       }
+      waiting_.fetch_add(1, std::memory_order_relaxed);
     }
     if (prof) obs::prof::StageProfiler::unbind();
   }
@@ -1210,8 +1246,12 @@ struct Engine {
   /// A whole-GOP claim: the paper's GOP task. The worker decodes the GOP's
   /// pictures in decode order along a chain of the task's own, which no
   /// other worker can see, so it takes no lock between pictures:
-  /// references come from the chain, and frames retire by its rule. The
-  /// chain's frames are back in the pool before the settle.
+  /// references come from the chain, and frames retire by its rule. Under
+  /// kAdaptive it reads the waiter count after each picture, and when a
+  /// worker or another session waits and pictures remain it stops: the
+  /// settle hands the chain over as the split GOP's shared one, and the
+  /// worker goes back to the fair pick. Otherwise the chain's frames are
+  /// back in the pool before the settle.
   void gop_task(const Claim& claim, int w, parallel::WorkerStats& stats,
                 obs::prof::WorkerProf* prof) {
     Session& s = *claim.session;
@@ -1221,32 +1261,37 @@ struct Engine {
     obs::Tracer* const tracer = hooks_.tracer;
     const std::int64_t task_begin = tracer ? tracer->now_ns() : 0;
     const ThreadCpuTimer cpu;
+    const bool splits = hooks_.granularity == sched::Granularity::kAdaptive;
     bool damaged = false;
     bool failed = false;
-    {
-      Chain c;  // its last references go back to the pool with it
-      append_gop(s, c, e);
-      while (c.next_open < c.end()) {
-        ChainPic& p = c.open_next();
-        parallel::PictureOutcome out =
-            decode_picture(s, p, c.frame(p.older), c.frame(p.newest), stats,
-                           w);
-        if (!out.frame) {
-          failed = true;
-          break;
-        }
-        damaged = damaged || out.damaged;
-        c.complete(p, std::move(out.frame));
-        c.retire();
+    bool split = false;
+    Chain c = gop_chain(s, e);
+    while (c.next_open < c.end()) {
+      ChainPic& p = c.open_next();
+      parallel::PictureOutcome out =
+          decode_picture(s, p, c.frame(p.older), c.frame(p.newest), stats, w);
+      if (!out.frame) {
+        failed = true;
+        break;
+      }
+      damaged = damaged || out.damaged;
+      c.complete(p, std::move(out.frame));
+      c.retire();
+      if (splits && c.next_open < c.end() &&
+          waiting_.load(std::memory_order_relaxed) > 0) {
+        split = true;
+        break;
       }
     }
+    if (!split) c.pics.clear();
     const std::int64_t task_ns = cpu.elapsed_ns();
     if (tracer) {
       tracer->emit(w, obs::SpanKind::kGopTask, task_begin, tracer->now_ns(),
                    -1, -1, e.index);
     }
     note_task(stats, s, w, task_ns, prof);
-    settle_task(claim, stats, task_ns, true, nullptr, damaged, failed);
+    settle_task(claim, stats, task_ns, true, nullptr, damaged, failed,
+                split ? &c : nullptr);
   }
 
   /// decode_one_picture on chained picture `p`.
@@ -1336,7 +1381,6 @@ struct Engine {
   WallTimer timer_;  // server epoch for every timestamp
   AdmissionController admission_;
   obs::live::SessionSurfaces surfaces_;
-  sched::AdaptivePolicy policy_;
   sched::CostEwma ewma_;  // cross-session cost signal
   /// Indexed by SessionId; forget() nulls a slot (ids are never reused)
   /// and leaves a tombstone so state()/decision() keep answering.
@@ -1349,7 +1393,12 @@ struct Engine {
   std::deque<SessionId> wait_list_;
   std::vector<sched::FairShare> shares_;  // scratch for try_claim
   std::vector<parallel::WorkerStats> worker_stats_;
-  int queued_total_ = 0;  // GOP tasks queued across all sessions
+  /// Who would take up a split: workers holding no claim and not claiming
+  /// one (not started, between tasks, or with nothing to claim), plus
+  /// running sessions holding no claim (each has claimable work, or it
+  /// would have finalized). Read without mutex_ between a whole-GOP
+  /// task's pictures.
+  std::atomic<int> waiting_;
   std::uint64_t epoch_ = 0;
   bool stop_ = false;
   parallel::WorkerPool pool_;  // last member: joins before the rest dies

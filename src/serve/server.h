@@ -22,10 +22,11 @@
 // default capacity calibrate online from completed-GOP CPU time,
 // serve/admission.h), the
 // sched::pick_session fairness policy (weighted min-service), and the
-// PR 9 adaptive dispatcher — should_explode() sees the queue depth summed
-// over *all* sessions and one cross-session CostEwma, so a shallow global
-// pipeline explodes GOPs for latency exactly as the single-stream
-// adaptive decoder does.
+// adaptive split rule — a GOP is split into picture tasks only while some
+// worker of the whole pool is idle or some running session holds no
+// worker, so a shallow global pipeline splits GOPs for latency exactly as
+// the single-stream adaptive decoder does, and a whole GOP never keeps a
+// newly admitted session from its first frame.
 //
 // Teardown is graceful in both directions: wait() drains a session to its
 // natural end; cancel() stops scheduling new work mid-GOP, lets in-flight
@@ -120,8 +121,8 @@ struct SessionResult {
   int concealed_slices = 0;
   int concealed_pictures = 0;
   int quarantined_gops = 0;
-  int gop_mode_gops = 0;   // adaptive dispatch split for this session
-  int exploded_gops = 0;
+  int gop_mode_gops = 0;  // adaptive: GOPs decoded whole to the end
+  int exploded_gops = 0;  // adaptive: GOPs split, at pop or mid-GOP
   std::int64_t served_ns = 0;  // pool CPU time charged (fairness ledger)
   // Frame-pool accounting at teardown: idle == misses proves every frame
   // the session ever allocated was returned before the pool died.
@@ -146,10 +147,6 @@ struct ServerConfig {
   /// server). 0 = off. A session whose display still owes pictures once
   /// its work is done fails at once, whatever this is.
   std::int64_t watchdog_ns = 0;
-  /// Adaptive dispatch knobs (sched::AdaptivePolicy); queue depth is
-  /// summed across sessions.
-  int depth_threshold = 0;
-  double cost_factor = 2.0;
 };
 
 class DecodeServer {

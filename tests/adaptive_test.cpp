@@ -1,6 +1,6 @@
-// Adaptive granularity scheduler tests: the dispatch-policy arithmetic
-// (cost EWMA, explode decision), the frame-latency objective,
-// the virtual-time simulator's determinism and work conservation, and the
+// Adaptive granularity scheduler tests: the cost EWMA, the frame-latency
+// objective, the virtual-time simulator's determinism, work conservation
+// and idle-worker split rule, and the
 // hybrid decoder's core guarantee — dispatch mode is invisible in the
 // output. The checksum matrix asserts adaptive == gop == slice byte-
 // identically on every Table-1 stream shape, clean and under injected
@@ -21,6 +21,7 @@
 #include "mpeg2/decoder.h"
 #include "obs/prof/counters.h"
 #include "obs/prof/stage_prof.h"
+#include "obs/tracer.h"
 #include "parallel/adaptive/adaptive_decoder.h"
 #include "parallel/display.h"
 #include "parallel/gop_decoder.h"
@@ -42,20 +43,16 @@ using parallel::SliceDecoderConfig;
 using parallel::SliceParallelDecoder;
 
 // ---------------------------------------------------------------------------
-// CostEwma + should_explode: the dispatch decision.
+// CostEwma: the cost predictor behind the fairness charge.
 
 TEST(AdaptivePolicy, EwmaStartsUncalibratedThenTracksRate) {
   sched::CostEwma ewma;
   EXPECT_EQ(ewma.predict(1000), -1);
-  EXPECT_EQ(ewma.average_ns(), -1);
   ewma.observe(10'000, 1'000);  // 10 ns/byte
   EXPECT_EQ(ewma.predict(2'000), 20'000);
-  EXPECT_EQ(ewma.average_ns(), 10'000);
   // Second observation at 20 ns/byte with alpha 0.3: 0.7*10 + 0.3*20 = 13.
   ewma.observe(20'000, 1'000);
   EXPECT_EQ(ewma.predict(1'000), 13'000);
-  EXPECT_EQ(ewma.average_ns(), 15'000);
-  EXPECT_EQ(ewma.observations(), 2);
 }
 
 TEST(AdaptivePolicy, EwmaIgnoresDegenerateObservations) {
@@ -63,36 +60,10 @@ TEST(AdaptivePolicy, EwmaIgnoresDegenerateObservations) {
   ewma.observe(0, 1'000);
   ewma.observe(1'000, 0);
   ewma.observe(-5, 1'000);
-  EXPECT_EQ(ewma.observations(), 0);
   EXPECT_EQ(ewma.predict(1'000), -1);
-}
-
-TEST(AdaptivePolicy, ExplodesWhenUncalibrated) {
-  sched::AdaptivePolicy policy;
-  sched::CostEwma ewma;  // no observations
-  EXPECT_TRUE(sched::should_explode(policy, 4, 100, ewma, 1'000));
-}
-
-TEST(AdaptivePolicy, ExplodesWhenQueueShallow) {
-  sched::AdaptivePolicy policy;
-  sched::CostEwma ewma;
   ewma.observe(10'000, 1'000);
-  // Depth threshold defaults to the worker count.
-  EXPECT_TRUE(sched::should_explode(policy, 4, 3, ewma, 1'000));
-  EXPECT_FALSE(sched::should_explode(policy, 4, 4, ewma, 1'000));
-  policy.depth_threshold = 2;
-  EXPECT_FALSE(sched::should_explode(policy, 4, 3, ewma, 1'000));
-  EXPECT_TRUE(sched::should_explode(policy, 4, 1, ewma, 1'000));
-}
-
-TEST(AdaptivePolicy, ExplodesPredictedStragglers) {
-  sched::AdaptivePolicy policy;  // cost_factor 2.0
-  sched::CostEwma ewma;
-  ewma.observe(10'000, 1'000);  // avg 10'000 ns, 10 ns/byte
-  // Deep queue, cheap GOP: run whole.
-  EXPECT_FALSE(sched::should_explode(policy, 4, 10, ewma, 1'000));
-  // A GOP predicted at >2x the average cost is a straggler: explode.
-  EXPECT_TRUE(sched::should_explode(policy, 4, 10, ewma, 2'100));
+  ewma.observe(-5, 1'000);  // ignored: the rate stays 10 ns/byte
+  EXPECT_EQ(ewma.predict(1'000), 10'000);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,6 +126,92 @@ TEST(AdaptiveSim, DeterministicAndWorkConserving) {
             static_cast<int>(p.gops.size()));
   EXPECT_EQ(a.frame_latency_ns.size(),
             static_cast<std::size_t>(p.total_pictures()));
+}
+
+// The idle-worker rule. One worker is never idle while a GOP is claimed,
+// so kAdaptive at one worker is exactly kWholeGop, and kWholeGop never
+// splits at any worker count.
+TEST(AdaptiveSim, NeverSplitsAtOneWorkerOrUnderWholeGop) {
+  const auto& p = sim_profile();
+  const int gops = static_cast<int>(p.gops.size());
+  sched::SimConfig cfg;
+  cfg.workers = 1;
+  cfg.granularity = sched::Granularity::kAdaptive;
+  const auto adaptive = sched::simulate(p, cfg);
+  EXPECT_EQ(adaptive.exploded_gops, 0);
+  EXPECT_EQ(adaptive.gop_mode_gops, gops);
+  cfg.granularity = sched::Granularity::kWholeGop;
+  const auto whole = sched::simulate(p, cfg);
+  EXPECT_EQ(adaptive.makespan_ns, whole.makespan_ns);
+  EXPECT_EQ(adaptive.peak_memory, whole.peak_memory);
+  EXPECT_EQ(adaptive.peak_stream_bytes, whole.peak_stream_bytes);
+  EXPECT_EQ(adaptive.frame_latency_ns, whole.frame_latency_ns);
+  for (const int workers : {2, 4, 8}) {
+    cfg.workers = workers;
+    const auto r = sched::simulate(p, cfg);
+    EXPECT_EQ(r.exploded_gops, 0) << workers << " workers";
+    EXPECT_EQ(r.gop_mode_gops, gops) << workers << " workers";
+  }
+}
+
+// Three GOPs, all queued at once, on two workers: both workers start a
+// GOP whole (neither is idle), the first to finish takes the third whole,
+// and once the other finishes and finds nothing to claim, the third GOP
+// splits at its next picture boundary. Every picture runs exactly once.
+TEST(AdaptiveSim, SplitsMidGopWhenAWorkerGoesIdle) {
+  const auto& p = sim_profile();
+  ASSERT_EQ(p.gops.size(), 3u);
+  sched::SimConfig cfg;
+  cfg.workers = 2;
+  cfg.model_scan = false;
+  cfg.granularity = sched::Granularity::kAdaptive;
+  obs::Tracer tracer(cfg.workers);
+  cfg.tracer = &tracer;
+  const auto r = sched::simulate(p, cfg);
+  EXPECT_EQ(r.gop_mode_gops, 2);
+  EXPECT_EQ(r.exploded_gops, 1);
+
+  std::vector<int> runs(static_cast<std::size_t>(p.total_pictures()), 0);
+  int whole_claims = 0;
+  std::vector<obs::Span> gop2_claim, gop2_pictures;
+  for (int w = 0; w < cfg.workers; ++w) {
+    for (const obs::Span& span : tracer.track(w).spans()) {
+      if (span.kind == obs::SpanKind::kPicture) {
+        ASSERT_GE(span.picture, 0);
+        ++runs[static_cast<std::size_t>(span.picture)];
+        if (span.gop == 2) gop2_pictures.push_back(span);
+      } else if (span.kind == obs::SpanKind::kGopTask) {
+        ++whole_claims;
+        if (span.gop == 2) gop2_claim.push_back(span);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i], 1) << "picture " << i;
+  }
+  EXPECT_EQ(whole_claims, 3);  // the split GOP's claim ends at the split
+  ASSERT_EQ(gop2_claim.size(), 1u);
+  const int in_claim = static_cast<int>(std::count_if(
+      gop2_pictures.begin(), gop2_pictures.end(), [&](const obs::Span& s) {
+        return s.end_ns <= gop2_claim[0].end_ns;
+      }));
+  const int n = static_cast<int>(p.gops[2].pictures.size());
+  EXPECT_GT(in_claim, 0);
+  EXPECT_LT(in_claim, n);
+  EXPECT_EQ(static_cast<int>(gop2_pictures.size()), n);
+
+  // Work conservation: with no per-picture overhead, the split costs
+  // exactly the pictures the whole-GOP run decodes.
+  cfg.tracer = nullptr;
+  cfg.picture_overhead_ns = 0;
+  const auto split = sched::simulate(p, cfg);
+  cfg.granularity = sched::Granularity::kWholeGop;
+  const auto whole = sched::simulate(p, cfg);
+  std::int64_t split_busy = 0, whole_busy = 0;
+  for (const auto& w : split.workers) split_busy += w.busy_ns;
+  for (const auto& w : whole.workers) whole_busy += w.busy_ns;
+  EXPECT_EQ(split_busy, whole_busy);
+  EXPECT_LT(split.makespan_ns, whole.makespan_ns);
 }
 
 // Golden results of the whole-GOP and slice granularities, pinned when
@@ -356,7 +413,7 @@ TEST(AdaptiveDecoder, DeliversDisplayOrder) {
   for (int i = 0; i < 12; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(AdaptiveDecoder, ShallowQueueExplodesDeepQueueRunsWhole) {
+TEST(AdaptiveDecoder, SplitsOnlyWhenAWorkerIsIdle) {
   streamgen::StreamSpec spec;
   spec.width = 176;
   spec.height = 120;
@@ -364,26 +421,22 @@ TEST(AdaptiveDecoder, ShallowQueueExplodesDeepQueueRunsWhole) {
   spec.pictures = 32;  // 8 GOPs
   spec.bit_rate = 1'500'000;
   const auto stream = streamgen::generate_stream(spec);
-  // depth_threshold 1: a GOP explodes only when nothing else is queued.
-  // With 8 GOPs racing 2 workers the queue is deep almost always, so most
-  // GOPs must run whole once the EWMA calibrates.
-  AdaptiveDecoderConfig cfg;
-  cfg.workers = 2;
-  cfg.depth_threshold = 1;
-  cfg.cost_factor = 1e9;  // straggler rule off
-  const auto r = AdaptiveDecoder(cfg).decode(stream, {});
-  ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.gop_mode_gops + r.exploded_gops, 8);
-  EXPECT_GT(r.gop_mode_gops, 0);
-  // Forced-explode counterpart: an enormous depth threshold.
-  AdaptiveDecoderConfig latency;
-  latency.workers = 2;
-  latency.depth_threshold = 1'000'000;
-  const auto l = AdaptiveDecoder(latency).decode(stream, {});
-  ASSERT_TRUE(l.ok);
-  EXPECT_EQ(l.exploded_gops, 8);
-  EXPECT_EQ(l.gop_mode_gops, 0);
-  EXPECT_EQ(l.checksum, r.checksum);  // dispatch mode invisible
+  const auto reference = decode_gop(stream, 2, false);
+  ASSERT_TRUE(reference.ok);
+  // One worker is never idle while it holds a GOP: nothing splits.
+  const auto one = decode_adaptive(stream, 1, false);
+  ASSERT_TRUE(one.ok);
+  EXPECT_EQ(one.exploded_gops, 0);
+  EXPECT_EQ(one.gop_mode_gops, 8);
+  EXPECT_EQ(one.checksum, reference.checksum);
+  // More workers: every GOP still runs exactly one way, and where it
+  // split (thread timing decides) is invisible in the output.
+  for (const int workers : {2, 4}) {
+    const auto r = decode_adaptive(stream, workers, false);
+    ASSERT_TRUE(r.ok) << workers << " workers";
+    EXPECT_EQ(r.gop_mode_gops + r.exploded_gops, 8) << workers << " workers";
+    EXPECT_EQ(r.checksum, reference.checksum) << workers << " workers";
+  }
 }
 
 TEST(AdaptiveDecoder, FourWorkersBindProfilerSlotsConcurrently) {

@@ -347,8 +347,8 @@ TEST(ParallelDecoders, GopMemoryTrackedAndBounded) {
   // reference: B frames are never retained, and every reference frame is
   // released when its GOP ends. One worker makes the peak deterministic,
   // and it must not grow with the GOP size (the streams of
-  // SliceMemoryIndependentOfGopSize); it stays within the adaptive
-  // decoder's forced-explode bound.
+  // SliceMemoryIndependentOfGopSize); the adaptive decoder at one worker
+  // keeps the same bound.
   mpeg2::MemoryTracker g_small, g_large;
   cfg.workers = 1;
   cfg.tracker = &g_small;
@@ -384,25 +384,45 @@ TEST(ParallelDecoders, SliceMemoryIndependentOfGopSize) {
   EXPECT_LE(t_large.peak_bytes(), 3 * t_small.peak_bytes());
   EXPECT_LE(t_large.peak_bytes(), 13 * frame_bytes);
 
-  // The adaptive decoder's exploded GOPs keep the same picture lifetime:
-  // B frames are never retained, and a reference frame goes back to the
-  // pool once no unopened picture of its GOP can use it. One worker makes
-  // the peak deterministic; the depth threshold forces every GOP to
-  // explode.
+  // The adaptive decoder at one worker never splits a GOP (no worker is
+  // ever idle while it holds one), so it keeps the GOP decoder's
+  // one-worker peak, independent of the GOP size.
   mpeg2::MemoryTracker a_small, a_large;
   AdaptiveDecoderConfig acfg;
   acfg.workers = 1;
-  acfg.depth_threshold = 1'000'000;
   acfg.tracker = &a_small;
   const RunResult rs = AdaptiveDecoder(acfg).decode(small);
   ASSERT_TRUE(rs.ok);
   acfg.tracker = &a_large;
   const RunResult rl = AdaptiveDecoder(acfg).decode(large);
   ASSERT_TRUE(rl.ok);
-  EXPECT_EQ(rs.exploded_gops, 2);
-  EXPECT_EQ(rl.exploded_gops, 1);
+  EXPECT_EQ(rs.exploded_gops, 0);
+  EXPECT_EQ(rl.exploded_gops, 0);
   EXPECT_EQ(a_large.peak_bytes(), a_small.peak_bytes());
   EXPECT_LE(a_large.peak_bytes(), 4 * frame_bytes);
+
+  // With more workers the one 16-picture GOP always splits: a worker with
+  // no claim waits while the GOP decodes (at pop time, the workers not
+  // started yet count too). A split GOP keeps the chain's picture lifetime (B frames
+  // never retained, a reference frame only while an unopened picture of
+  // its GOP can use it), so it never holds more frames than its own
+  // pictures. Its pictures open without a cap, though, so one preempted
+  // picture can stall the display while every later one completes: on an
+  // idle host the peak is 3-10 frames, on an oversubscribed one up to 16.
+  GopDecoderConfig gcfg;
+  gcfg.workers = 1;
+  const RunResult reference = GopParallelDecoder(gcfg).decode(large);
+  ASSERT_TRUE(reference.ok);
+  for (const int workers : {2, 4}) {
+    mpeg2::MemoryTracker tracker;
+    acfg.workers = workers;
+    acfg.tracker = &tracker;
+    const RunResult r = AdaptiveDecoder(acfg).decode(large);
+    ASSERT_TRUE(r.ok) << workers << " workers";
+    EXPECT_EQ(r.exploded_gops, 1) << workers << " workers";
+    EXPECT_EQ(r.checksum, reference.checksum) << workers << " workers";
+    EXPECT_LE(tracker.peak_bytes(), 16 * frame_bytes) << workers << " workers";
+  }
 }
 
 TEST(ParallelDecoders, RejectsGarbage) {

@@ -143,10 +143,11 @@ TEST_P(PolicySweep, InvariantsHold) {
   SimConfig cfg = dispatch_config(std::get<1>(GetParam()));
   cfg.workers = std::get<0>(GetParam());
   const SimResult r = simulate(profile, cfg);
-  // Work conservation: every GOP dispatched once, whole or as its slices
+  // Work conservation: every GOP dispatched once, whole or as its tasks
   // (the profile's GOPs are all the same size), every slice run once.
   const int gops = static_cast<int>(profile.gops.size());
-  const int slices = profile.total_pictures() * profile.slices_per_picture;
+  const int pictures = profile.total_pictures();
+  const int slices = pictures * profile.slices_per_picture;
   int tasks = 0;
   std::int64_t busy = 0;
   for (const auto& w : r.workers) {
@@ -155,7 +156,17 @@ TEST_P(PolicySweep, InvariantsHold) {
     EXPECT_GE(w.sync_ns, 0);
   }
   EXPECT_EQ(r.gop_mode_gops + r.exploded_gops, gops);
-  EXPECT_EQ(tasks, r.gop_mode_gops + r.exploded_gops * (slices / gops));
+  if (cfg.granularity == Granularity::kAdaptive) {
+    // A GOP split at its pop is one task per picture; one split later is
+    // its whole claim (at least one picture) plus a task per picture left.
+    EXPECT_GE(tasks, r.gop_mode_gops + 2 * r.exploded_gops);
+    EXPECT_LE(tasks, r.gop_mode_gops + r.exploded_gops * (pictures / gops));
+    if (cfg.workers == 1) {
+      EXPECT_EQ(r.exploded_gops, 0);
+    }
+  } else {
+    EXPECT_EQ(tasks, r.gop_mode_gops + r.exploded_gops * (slices / gops));
+  }
   EXPECT_GT(busy, 0);
   // Makespan bounds: at least the critical path of one picture, at most
   // the serial sum (plus overheads).
