@@ -2,9 +2,9 @@
 //
 // The paper fixes granularity per experiment: GOP tasks maximize
 // throughput (Fig. 5), slice tasks minimize latency (Fig. 11). The
-// adaptive granularity runs every GOP whole and splits it into picture
-// tasks only while a worker is idle; this harness sweeps all three
-// policies at 2/4/8/14 workers on both objectives:
+// adaptive granularity runs every GOP whole and splits it into
+// macroblock-row tasks only while a worker is idle; this harness sweeps
+// all three policies at 2/4/8/14 workers on both objectives:
 //
 //   - p99 frame latency, from a *paced* simulation where the scan process
 //     delivers bytes at the stream's real-time rate (the broadcast-input
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
             << Table::fmt(tol * 100, 1) << "%).\n"
             << "Reading: GOP dispatch wins throughput but queues whole GOPs"
             << " ahead of the display; slice dispatch wins latency but pays"
-            << " per-picture overhead; adaptive splits a GOP into picture"
+            << " per-picture overhead; adaptive splits a GOP into row"
             << " tasks only while a worker is idle.\n";
   return bench::finish(flags, report);
 }

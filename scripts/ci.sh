@@ -223,11 +223,22 @@ stage_bench() {
   # Regenerate the quick bench suite with the same pinned knobs the
   # committed baseline was produced with and diff against it. Identity and
   # coverage are strict (a vanished row/report fails); metric deltas are
-  # advisory — shared CI runners are too noisy for hard timing gates.
+  # advisory — shared CI runners are too noisy for hard timing gates. The
+  # one hard metric gate is bench_adaptive's sim Pareto verdict, which the
+  # pinned knobs make deterministic: adaptive dispatch must match or
+  # dominate both fixed granularities in every cell.
   build_tier1 || return 1
   local out="build/BENCH_candidate.json"
   run env BENCH_SCALE=0.25 BENCH_MAX_RES=704 BENCH_NS_PER_UNIT=100 \
       scripts/bench_all.sh build "$out" || return 1
+  run python3 -c 'import json, sys
+suite = json.load(open(sys.argv[1]))
+meta = next(r["meta"] for r in suite["reports"]
+            if r["tool"] == "bench_adaptive")
+ok, total = meta["pareto_ok"], meta["pareto_total"]
+print("bench_adaptive Pareto verdict: %d/%d" % (ok, total))
+sys.exit(0 if total > 0 and ok == total else "adaptive is Pareto-dominated")' \
+      "$out" || return 1
   run build/tools/bench_check BENCH_parallel.json "$out" \
       --advisory-metrics --tolerance=0.25
 }

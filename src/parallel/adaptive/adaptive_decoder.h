@@ -15,7 +15,8 @@
 //   latency mode — a worker is idle, at pop time or after any picture of
 //     a whole-GOP task: the GOP's remaining pictures become a shared
 //     picture chain, the slice decoder's machinery with one task per
-//     picture, so all workers cooperate on the frames closest to display.
+//     macroblock row, so all workers cooperate on the picture closest to
+//     display.
 //     A whole-GOP task hands its chain over with the reference frames it
 //     completed. A picture opens once its GOP-private references (closed
 //     GOPs) are complete, so split GOPs of different indices decode
@@ -23,12 +24,13 @@
 //     decoder's sequential loop (both run decode_one_picture's open,
 //     decode and close steps).
 //
-// An idle worker opens the next openable picture of the lowest split GOP
-// before popping the next GOP. A B frame goes back to the pool once
-// displayed, a reference frame once no unopened picture of its GOP can
-// use it. Recovery semantics are the GOP decoder's: quarantine confines a
-// fault to its own GOP in both modes, and playback checksums equal the
-// fixed GOP decoder's on clean and damaged streams alike.
+// An idle worker takes an unclaimed row of the lowest split GOP's open
+// picture, else opens its next openable picture, before popping the next
+// GOP. A B frame goes back to the pool once displayed, a reference frame
+// once no unopened picture of its GOP can use it. Recovery semantics are
+// the GOP decoder's: quarantine confines a fault to its own GOP in both
+// modes, and playback checksums equal the fixed GOP decoder's on clean and
+// damaged streams alike.
 #pragma once
 
 #include <cstdint>

@@ -111,9 +111,9 @@ struct RunResult {
   std::vector<WorkerStats> workers;
 
   // Dispatch accounting (GOP and adaptive decoders): how the engine
-  // split the stream between whole-GOP and per-picture tasks.
+  // split the stream between whole-GOP and macroblock-row tasks.
   int gop_mode_gops = 0;       // GOPs decoded whole to the end
-  int exploded_gops = 0;       // GOPs split into picture tasks
+  int exploded_gops = 0;       // GOPs split into row tasks
   /// Always 0: the engine serves one FIFO per session, so no task ever
   /// moves between worker deques. Kept because the repository benchmark
   /// (benchmark/drive.cpp) reads it.

@@ -4,12 +4,12 @@
 // The paper fixes parallel granularity per experiment: GOP tasks for
 // throughput (Fig. 5), slice tasks for latency (Fig. 11). The adaptive
 // granularity needs no forecast to choose between them: every GOP is
-// popped whole, and it is split into one task per picture only when a
-// worker is idle — at pop time, or at any later picture boundary of the
-// whole-GOP task (lazy splitting). A deep pipeline keeps every worker
-// busy, so GOPs run whole; a shallow one, and the tail of every stream,
-// leaves workers idle, so all of them cooperate on the frames that gate
-// display. In a multi-session server a running session that holds no
+// popped whole, and its remaining pictures are split into macroblock-row
+// tasks only when a worker is idle — at pop time, or at any later picture
+// boundary of the whole-GOP task (lazy splitting). A deep pipeline keeps
+// every worker busy, so GOPs run whole; a shallow one, and the tail of
+// every stream, leaves workers idle, so all of them cooperate on the
+// picture that gates display. In a multi-session server a running session that holds no
 // worker waits too, and a split hands it the next free one.
 //
 // The real engine (the DecodeServer claim loop in src/serve/server.cpp,
@@ -28,9 +28,10 @@ namespace pmp2::sched {
 /// What a GOP popped from the queue becomes. kWholeGop never splits (the
 /// paper's §5.1 GOP decoder); kAdaptive runs it whole until a worker is
 /// idle, and a split GOP's remaining pictures become a picture chain of
-/// its own, one task per picture; kSlice opens every scanned GOP's
-/// pictures in decode order along one session-wide chain and decodes each
-/// as macroblock-row tasks (the paper's §5.2 slice decoder).
+/// its own; kSlice opens every scanned GOP's pictures in decode order
+/// along one session-wide chain (the paper's §5.2 slice decoder). Every
+/// chained picture decodes as macroblock-row tasks (one task for MPEG-1,
+/// whose slices may span rows).
 enum class Granularity : std::uint8_t { kAdaptive, kWholeGop, kSlice };
 
 /// Online cost predictor: EWMA of observed ns per coded byte. Starts

@@ -52,12 +52,13 @@ void build_timeline(Events events, SimResult& result) {
 }
 
 /// The model. Every GOP is admitted to the queue at its scan end; an idle
-/// worker claims, in order: a task of an open picture on some chain
+/// worker claims, in order: a slice task of an open picture on some chain
 /// (frames closest to display first), else the queue's head GOP, run
-/// whole. Under kAdaptive a GOP is split onto a chain of its own, one task
-/// per picture, when another worker is idle at its pop or after any
+/// whole. Under kAdaptive a GOP's remaining pictures are split onto a
+/// chain of their own when another worker is idle at its pop or after any
 /// picture of its whole claim. Under kSlice the scan appends each admitted
-/// GOP to one session-wide chain of slice tasks instead.
+/// GOP to one session-wide chain instead. Every chained picture is one
+/// task per slice, as the engine runs it one task per macroblock row.
 class Model {
  public:
   Model(const StreamProfile& profile, const SimConfig& config)
@@ -82,9 +83,9 @@ class Model {
   SimResult run();
 
  private:
-  /// Decode-order pictures opened in order, at most max_open at once: the
-  /// rest of a GOP kAdaptive split (no cap), or kSlice's session-wide
-  /// chain (SimConfig::max_open_pictures).
+  /// Decode-order pictures opened in order, at most max_open at once, each
+  /// one task per slice: the rest of a GOP kAdaptive split (no cap), or
+  /// kSlice's session-wide chain (SimConfig::max_open_pictures).
   struct Chain {
     int begin = 0;         // first picture
     int end = 0;           // one past the last admitted picture
@@ -313,7 +314,7 @@ void Model::admit(std::int64_t now) {
 
 /// Opens the chain's pictures that may open at `now`: in decode order,
 /// references complete, fewer than max_open open. A picture is one task
-/// per slice under kSlice, else one task.
+/// per slice.
 void Model::open_eligible(Chain& chain, std::int64_t now) {
   while (chain.next < chain.end && chain.open < chain.max_open) {
     Pic& pic = pics_[static_cast<std::size_t>(chain.next)];
@@ -321,9 +322,7 @@ void Model::open_eligible(Chain& chain, std::int64_t now) {
       if (r >= 0 && !pics_[static_cast<std::size_t>(r)].complete) return;
     }
     pic.alloc = now;
-    pic.remaining = config_.granularity == Granularity::kSlice
-                        ? static_cast<int>(pic.cost->slices.size())
-                        : 1;
+    pic.remaining = static_cast<int>(pic.cost->slices.size());
     mem_.emplace_back(now, fb_);
     if (pic.pic_in_gop == 0 && config_.granularity == Granularity::kSlice) {
       leave_queue(pic.gop, now);
@@ -484,18 +483,11 @@ void Model::end_whole(int w, int g, std::int64_t begin, std::int64_t end) {
   stream_.emplace_back(end, -bytes);
 }
 
-/// One task of open picture `p` on worker `w`: its next slice under
-/// kSlice, else the whole picture.
+/// The next slice task of open picture `p` on worker `w`.
 void Model::run_slice(const Idle& w, std::int64_t now, int p) {
   Pic& pic = pics_[static_cast<std::size_t>(p)];
   const int s = pic.next_slice++;
   std::int64_t cost = slice_cost(pic, s);
-  if (config_.granularity != Granularity::kSlice) {
-    for (; pic.next_slice < static_cast<int>(pic.cost->slices.size());
-         ++pic.next_slice) {
-      cost += slice_cost(pic, pic.next_slice);
-    }
-  }
   if (s == 0) cost += config_.picture_overhead_ns;
   const bool remote =
       config_.cluster_size > 0 && cluster_of(w.id) != p % clusters_;
@@ -510,12 +502,9 @@ void Model::run_slice(const Idle& w, std::int64_t now, int p) {
   ++stats.tasks;
   if (remote) ++stats.remote_tasks;
   wait_span(w, now, start, stall_);
-  if (config_.tracer && config_.granularity == Granularity::kSlice) {
+  if (config_.tracer) {
     config_.tracer->emit(w.id, obs::SpanKind::kSliceTask, start, start + cost,
                          p, s);
-  } else if (config_.tracer) {
-    config_.tracer->emit(w.id, obs::SpanKind::kPicture, start, start + cost,
-                         pic.display_index, -1, pic.gop);
   }
   events_.push({start + cost, w.id, pic.gop, p});
 }

@@ -6,9 +6,9 @@
 // machine. The scan admits each GOP to a single FIFO once its bytes are
 // scanned; idle workers claim work earliest-idle first; the granularity
 // (sched/adaptive.h) sets what a popped GOP becomes — one whole-GOP task,
-// split into picture tasks while another worker is idle (kAdaptive, which
-// knows the idle workers exactly), or slice tasks along a decode-order
-// picture chain (kSlice). Produces the
+// its remaining pictures split into slice tasks while another worker is
+// idle (kAdaptive, which knows the idle workers exactly), or slice tasks
+// along a decode-order picture chain (kSlice). Produces the
 // quantities of the paper's evaluation — speedup, per-worker compute/sync
 // time, load balance, memory-over-time — for any processor count,
 // deterministically.

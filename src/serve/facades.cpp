@@ -4,8 +4,8 @@
 // for it, and maps the SessionResult plus the engine's per-worker stats
 // into RunResult. The three façades differ only in the engine's dispatch
 // granularity: the GOP decoder never splits a GOP, the adaptive decoder
-// splits one into picture tasks whenever a worker is idle (its session is
-// the engine's only one), and the slice decoder runs every picture as
+// splits one whenever a worker is idle (its session is the engine's only
+// one), and the slice decoder and split GOPs run every picture as
 // macroblock-row tasks.
 #include <algorithm>
 #include <string>

@@ -72,9 +72,11 @@ struct ChainPic {
 /// Pictures opened in decode order, each once its references are
 /// complete: the slice granularity's session-wide chain, one GOP the
 /// adaptive dispatcher exploded, or a whole-GOP task's private one. Each
-/// picture is `rows` tasks; the opener runs the first. A B frame is never
-/// retained, and a reference frame only while a picture still to open may
-/// use it.
+/// shared chain's picture is `rows` tasks, one per macroblock row (one for
+/// MPEG-1); the opener runs the first. A whole-GOP task decodes its
+/// private chain's pictures whole and ignores `rows` until it hands the
+/// chain over. A B frame is never retained, and a reference frame only
+/// while a picture still to open may use it.
 struct Chain {
   int rows = 1;            // tasks per picture
   int max_open = INT_MAX;  // pictures opening or open at once
@@ -408,12 +410,7 @@ struct Engine {
 
   void drain() {
     std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] {
-      for (const auto& s : sessions_) {
-        if (s && !s->result_ready) return false;  // forgotten => was ready
-      }
-      return true;
-    });
+    cv_.wait(lock, [&] { return running_.empty() && wait_list_.empty(); });
   }
 
   SessionState state(SessionId id) const {
@@ -461,9 +458,7 @@ struct Engine {
     // running sessions' minimum, so it competes from "now" instead of
     // monopolizing the pool until its lifetime total catches up.
     shares_.clear();
-    for (const auto& other : sessions_) {
-      if (!other || other.get() == &s) continue;
-      if (other->state != SessionState::kRunning) continue;
+    for (const Session* other : running_) {
       sched::FairShare share;
       share.weight = other->cfg.weight;
       share.served_ns = other->served_ns;
@@ -472,6 +467,7 @@ struct Engine {
     s.virtual_start_ns = sched::virtual_start(s.cfg.weight, shares_);
     s.served_ns = s.virtual_start_ns;
     s.state = SessionState::kRunning;
+    running_.push_back(&s);
     waiting_.fetch_add(1, std::memory_order_relaxed);  // holds no claim
     s.start_ns = timer_.elapsed_ns();
     s.surface = &surfaces_.open(s.id, s.cfg.name);
@@ -663,14 +659,12 @@ struct Engine {
       ++s.completed_gops;  // nothing to open
     } else {
       // The GOP counts as queued (scan backpressure) until its first
-      // picture opens. Its pictures join the session's one chain, whose
-      // pictures are macroblock-row tasks (one per picture for MPEG-1,
-      // whose slices may span rows).
+      // picture opens. Its pictures join the session's one chain.
       ++s.queued_gops;
       s.live->add_queue_depth(1);
       if (s.chains.empty()) {
         Chain& c = s.chains.emplace_back();
-        c.rows = s.structure.mpeg1 ? 1 : s.structure.mb_height();
+        c.rows = picture_rows(s);
         c.max_open = hooks_.max_open_pictures;
       }
       append_gop(s, s.chains.back(), e);
@@ -705,11 +699,18 @@ struct Engine {
     }
   }
 
-  /// A chain of GOP `e` alone: fresh references, one task per picture, no
+  /// Tasks per chained picture: one per macroblock row, or one for
+  /// MPEG-1, whose slices may span rows.
+  static int picture_rows(const Session& s) {
+    return s.structure.mpeg1 ? 1 : s.structure.mb_height();
+  }
+
+  /// A chain of GOP `e` alone: fresh references, macroblock-row tasks, no
   /// cap on open pictures. Nothing is ever appended to it, so it keeps no
   /// reference past its last picture.
   static Chain gop_chain(const Session& s, GopEntry& e) {
     Chain c;
+    c.rows = picture_rows(s);
     append_gop(s, c, e);
     c.newest = c.older = -1;
     return c;
@@ -758,8 +759,11 @@ struct Engine {
           // sessions watchdog_wedged condemns — claimable-but-unclaimed
           // work, or in-flight claims whose telemetry went silent for a
           // full period — never the server.
-          for (auto& s : sessions_) {
-            if (!s || !session_wedged_locked(*s)) continue;
+          // A copy: finalizing leaves running_, and admits from the
+          // wait list join it.
+          const std::vector<Session*> running = running_;
+          for (Session* s : running) {
+            if (!session_wedged_locked(*s)) continue;
             s->hung = true;
             s->errors.add(
                 {parallel::RecoveryCause::kWatchdog, -1, -1, 0});
@@ -776,10 +780,8 @@ struct Engine {
   }
 
   [[nodiscard]] bool pending_work_locked() const {
-    for (const auto& s : sessions_) {
-      if (s && s->pending_work()) return true;
-    }
-    return false;
+    return std::any_of(running_.begin(), running_.end(),
+                       [](const Session* s) { return s->pending_work(); });
   }
 
   /// The session-level half of the watchdog: feeds watchdog_wedged the
@@ -805,21 +807,20 @@ struct Engine {
   /// (keeping its queue as deep as its bound), then its chains' picture
   /// tasks before queued whole GOPs (frames closest to display first),
   /// then the queue's head GOP, split at pop time when a worker or another
-  /// session waits anywhere in the server.
+  /// session waits anywhere in the server. Only running sessions are
+  /// walked, in start order, so ties go to the earliest-started one.
   bool try_claim_locked(Claim& out) {
     shares_.clear();
-    for (const auto& s : sessions_) {
-      sched::FairShare share;  // forgotten slots stay non-runnable so the
-      if (s) {                 // picked index still maps into sessions_
-        share.weight = s->cfg.weight;
-        share.served_ns = s->served_ns;
-        share.runnable = s->runnable() && has_claimable_locked(*s);
-      }
+    for (Session* s : running_) {
+      sched::FairShare share;
+      share.weight = s->cfg.weight;
+      share.served_ns = s->served_ns;
+      share.runnable = s->runnable() && has_claimable_locked(*s);
       shares_.push_back(share);
     }
     const int idx = sched::pick_session(shares_);
     if (idx < 0) return false;
-    Session& s = *sessions_[static_cast<std::size_t>(idx)];
+    Session& s = *running_[static_cast<std::size_t>(idx)];
     if (s.scan_claimable()) {
       s.scan_claimed = true;
       add_claims_locked(s, 1);
@@ -853,10 +854,9 @@ struct Engine {
 
   // --- Chains: picture opens and macroblock-row tasks. --------------------
 
-  /// The session's next picture task, lowest chain first: a row of the
-  /// chain's lowest open picture with one unclaimed, else the chain's
-  /// openable picture. Only the slice granularity's one chain has rows to
-  /// share, so this is also "rows of open pictures first".
+  /// The session's next picture task, lowest chain first (frames closest
+  /// to display first): a row of the chain's lowest open picture with one
+  /// unclaimed, else the chain's openable picture.
   static bool find_pic_task(Session& s, Claim& out) {
     for (Chain& c : s.chains) {
       ChainPic* p = row_source(c);
@@ -967,10 +967,9 @@ struct Engine {
   /// joins the session's chains in GOP order, its completed pictures and
   /// their reference frames with it (a stopped session never claims it,
   /// and its frames go back at finalize, as every chain's do). A picture
-  /// task that was its
-  /// picture's `last` completes the picture with `frame`, its delivered
-  /// frame (null when none was). `failed` (a picture that could not
-  /// decode, recovery off) aborts the session.
+  /// task that was its picture's `last` completes the picture with
+  /// `frame`, its delivered frame (null when none was). `failed` (a
+  /// picture that could not decode, recovery off) aborts the session.
   void settle_task(const Claim& claim, parallel::WorkerStats& stats,
                    std::int64_t task_ns, bool last, mpeg2::FramePtr frame,
                    bool damaged, bool failed, Chain* split = nullptr) {
@@ -1128,6 +1127,7 @@ struct Engine {
       return;
     }
     waiting_.fetch_sub(1, std::memory_order_relaxed);  // no longer running
+    running_.erase(std::find(running_.begin(), running_.end(), &s));
     // The display emits on the pushing worker inside its task, so at
     // quiescence every push has emitted: a picture still owed never comes.
     if (!s.stopped() && s.scan_ok &&
@@ -1306,12 +1306,12 @@ struct Engine {
         s.gobs, w);
   }
 
-  /// A chained picture's task. A one-task picture (an exploded GOP's, or
-  /// an MPEG-1 slice-granularity one) is decode_one_picture in one claim.
-  /// Otherwise kOpen opens the picture and decodes its first row, kRow one
-  /// more row, and whoever finishes the last row closes it. open_picture,
-  /// decode_open_rows and close_picture are decode_one_picture's own three
-  /// steps, so a picture decodes to the same bytes on every path.
+  /// A chained picture's task. A one-task picture (MPEG-1) is
+  /// decode_one_picture in one claim. Otherwise kOpen opens the picture
+  /// and decodes its first row, kRow one more row, and whoever finishes
+  /// the last row closes it. open_picture, decode_open_rows and
+  /// close_picture are decode_one_picture's own three steps, so a picture
+  /// decodes to the same bytes on every path.
   void picture_task(Claim& claim, int w, parallel::WorkerStats& stats,
                     obs::prof::WorkerProf* prof) {
     Session& s = *claim.session;
@@ -1391,6 +1391,8 @@ struct Engine {
   std::deque<std::unique_ptr<Session>> sessions_;
   std::unordered_map<SessionId, Tombstone> forgotten_;
   std::deque<SessionId> wait_list_;
+  /// The kRunning sessions, in start order: all the claim path walks.
+  std::vector<Session*> running_;
   std::vector<sched::FairShare> shares_;  // scratch for try_claim
   std::vector<parallel::WorkerStats> worker_stats_;
   /// Who would take up a split: workers holding no claim and not claiming

@@ -22,7 +22,7 @@
 // default capacity calibrate online from completed-GOP CPU time,
 // serve/admission.h), the
 // sched::pick_session fairness policy (weighted min-service), and the
-// adaptive split rule — a GOP is split into picture tasks only while some
+// adaptive split rule — a GOP is split into row tasks only while some
 // worker of the whole pool is idle or some running session holds no
 // worker, so a shallow global pipeline splits GOPs for latency exactly as
 // the single-stream adaptive decoder does, and a whole GOP never keeps a

@@ -157,7 +157,8 @@ TEST(AdaptiveSim, NeverSplitsAtOneWorkerOrUnderWholeGop) {
 // Three GOPs, all queued at once, on two workers: both workers start a
 // GOP whole (neither is idle), the first to finish takes the third whole,
 // and once the other finishes and finds nothing to claim, the third GOP
-// splits at its next picture boundary. Every picture runs exactly once.
+// splits at its next picture boundary. Every picture runs exactly once:
+// whole inside a claim, or after the split as one task per slice.
 TEST(AdaptiveSim, SplitsMidGopWhenAWorkerGoesIdle) {
   const auto& p = sim_profile();
   ASSERT_EQ(p.gops.size(), 3u);
@@ -171,34 +172,68 @@ TEST(AdaptiveSim, SplitsMidGopWhenAWorkerGoesIdle) {
   EXPECT_EQ(r.gop_mode_gops, 2);
   EXPECT_EQ(r.exploded_gops, 1);
 
-  std::vector<int> runs(static_cast<std::size_t>(p.total_pictures()), 0);
+  // Whole-claim picture spans carry the display index, slice spans the
+  // decode index: index everything by decode order.
+  std::vector<const sched::PictureCost*> pics;
+  std::vector<int> decode_of_display(
+      static_cast<std::size_t>(p.total_pictures()), -1);
+  int display_base = 0;
+  for (const auto& gop : p.gops) {
+    for (const auto& pc : gop.pictures) {
+      decode_of_display[static_cast<std::size_t>(display_base +
+                                                 pc.temporal_reference)] =
+          static_cast<int>(pics.size());
+      pics.push_back(&pc);
+    }
+    display_base += static_cast<int>(gop.pictures.size());
+  }
+  const int gop2_first =
+      static_cast<int>(p.gops[0].pictures.size() + p.gops[1].pictures.size());
+  std::vector<int> whole_runs(pics.size(), 0);
+  std::vector<std::vector<int>> slices(pics.size());
+  for (std::size_t i = 0; i < pics.size(); ++i) {
+    slices[i].assign(pics[i]->slices.size(), 0);
+  }
   int whole_claims = 0;
   std::vector<obs::Span> gop2_claim, gop2_pictures;
   for (int w = 0; w < cfg.workers; ++w) {
     for (const obs::Span& span : tracer.track(w).spans()) {
       if (span.kind == obs::SpanKind::kPicture) {
         ASSERT_GE(span.picture, 0);
-        ++runs[static_cast<std::size_t>(span.picture)];
+        ++whole_runs[static_cast<std::size_t>(
+            decode_of_display[static_cast<std::size_t>(span.picture)])];
         if (span.gop == 2) gop2_pictures.push_back(span);
+      } else if (span.kind == obs::SpanKind::kSliceTask) {
+        ASSERT_GE(span.picture, gop2_first);  // only GOP 2 splits
+        auto& runs = slices[static_cast<std::size_t>(span.picture)];
+        ASSERT_LT(span.slice, static_cast<int>(runs.size()));
+        ++runs[static_cast<std::size_t>(span.slice)];
       } else if (span.kind == obs::SpanKind::kGopTask) {
         ++whole_claims;
         if (span.gop == 2) gop2_claim.push_back(span);
       }
     }
   }
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i], 1) << "picture " << i;
+  int split_pictures = 0;
+  for (std::size_t i = 0; i < pics.size(); ++i) {
+    const bool sliced = std::any_of(slices[i].begin(), slices[i].end(),
+                                    [](int n) { return n > 0; });
+    split_pictures += sliced ? 1 : 0;
+    EXPECT_EQ(whole_runs[i], sliced ? 0 : 1) << "picture " << i;
+    for (std::size_t s = 0; sliced && s < slices[i].size(); ++s) {
+      EXPECT_EQ(slices[i][s], 1) << "picture " << i << " slice " << s;
+    }
   }
   EXPECT_EQ(whole_claims, 3);  // the split GOP's claim ends at the split
   ASSERT_EQ(gop2_claim.size(), 1u);
-  const int in_claim = static_cast<int>(std::count_if(
-      gop2_pictures.begin(), gop2_pictures.end(), [&](const obs::Span& s) {
-        return s.end_ns <= gop2_claim[0].end_ns;
-      }));
+  const int in_claim = static_cast<int>(gop2_pictures.size());
   const int n = static_cast<int>(p.gops[2].pictures.size());
+  EXPECT_TRUE(std::all_of(
+      gop2_pictures.begin(), gop2_pictures.end(),
+      [&](const obs::Span& s) { return s.end_ns <= gop2_claim[0].end_ns; }));
   EXPECT_GT(in_claim, 0);
   EXPECT_LT(in_claim, n);
-  EXPECT_EQ(static_cast<int>(gop2_pictures.size()), n);
+  EXPECT_EQ(in_claim + split_pictures, n);
 
   // Work conservation: with no per-picture overhead, the split costs
   // exactly the pictures the whole-GOP run decodes.

@@ -403,12 +403,14 @@ TEST(ParallelDecoders, SliceMemoryIndependentOfGopSize) {
 
   // With more workers the one 16-picture GOP always splits: a worker with
   // no claim waits while the GOP decodes (at pop time, the workers not
-  // started yet count too). A split GOP keeps the chain's picture lifetime (B frames
-  // never retained, a reference frame only while an unopened picture of
-  // its GOP can use it), so it never holds more frames than its own
-  // pictures. Its pictures open without a cap, though, so one preempted
-  // picture can stall the display while every later one completes: on an
-  // idle host the peak is 3-10 frames, on an oversubscribed one up to 16.
+  // started yet count too). A split GOP keeps the chain's picture
+  // lifetime (B frames never retained, a reference frame only while an
+  // unopened picture of its GOP can use it), so it never holds more
+  // frames than its own pictures. Its pictures open without a cap,
+  // though, so one preempted row can stall the display while later
+  // pictures complete. On an idle 4-vCPU host the peak was 4 frames at 2
+  // workers and 4-10 at 4 (twenty runs each), up to 16 under
+  // oversubscription.
   GopDecoderConfig gcfg;
   gcfg.workers = 1;
   const RunResult reference = GopParallelDecoder(gcfg).decode(large);
@@ -423,6 +425,27 @@ TEST(ParallelDecoders, SliceMemoryIndependentOfGopSize) {
     EXPECT_EQ(r.checksum, reference.checksum) << workers << " workers";
     EXPECT_LE(tracker.peak_bytes(), 16 * frame_bytes) << workers << " workers";
   }
+}
+
+TEST(ParallelDecoders, SplitGopDecodesPicturesAsRowTasks) {
+  // The one 16-picture GOP splits at its pop (at least one other worker
+  // waits), and a split GOP's pictures run as macroblock-row tasks: more
+  // tasks than one per picture plus the whole-GOP claim a later split
+  // would add.
+  const auto large = generate_stream(test_spec(16, 16));
+  GopDecoderConfig gcfg;
+  gcfg.workers = 1;
+  const RunResult reference = GopParallelDecoder(gcfg).decode(large);
+  ASSERT_TRUE(reference.ok);
+  AdaptiveDecoderConfig acfg;
+  acfg.workers = 4;
+  const RunResult r = AdaptiveDecoder(acfg).decode(large);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.exploded_gops, 1);
+  std::uint64_t tasks = 0;
+  for (const WorkerStats& w : r.workers) tasks += w.tasks;
+  EXPECT_GT(tasks, 16u + 1u);
+  EXPECT_EQ(r.checksum, reference.checksum);
 }
 
 TEST(ParallelDecoders, RejectsGarbage) {

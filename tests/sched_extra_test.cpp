@@ -157,10 +157,12 @@ TEST_P(PolicySweep, InvariantsHold) {
   }
   EXPECT_EQ(r.gop_mode_gops + r.exploded_gops, gops);
   if (cfg.granularity == Granularity::kAdaptive) {
-    // A GOP split at its pop is one task per picture; one split later is
-    // its whole claim (at least one picture) plus a task per picture left.
-    EXPECT_GE(tasks, r.gop_mode_gops + 2 * r.exploded_gops);
-    EXPECT_LE(tasks, r.gop_mode_gops + r.exploded_gops * (pictures / gops));
+    // A GOP split at its pop is one task per slice; one split later is its
+    // whole claim (at least one picture) plus a task per slice of every
+    // picture left (at least one).
+    const int per_picture = profile.slices_per_picture;
+    EXPECT_GE(tasks, r.gop_mode_gops + r.exploded_gops * (1 + per_picture));
+    EXPECT_LE(tasks, r.gop_mode_gops + r.exploded_gops * (slices / gops));
     if (cfg.workers == 1) {
       EXPECT_EQ(r.exploded_gops, 0);
     }
